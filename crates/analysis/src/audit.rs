@@ -21,6 +21,7 @@
 //! * **Fleet snapshot** — the section framing itself, plus the nested
 //!   relations and corpus audits.
 
+use crate::counters;
 use crate::diag::{Report, Severity};
 use crate::lint::lint_prog;
 use fuzzlang::desc::DescTable;
@@ -260,8 +261,8 @@ pub fn audit_snapshot(text: &str, table: &DescTable) -> Report {
         let lineno = lineno + 2; // 1-based, after the header line
         if let Some(name) = line.strip_prefix("# section ") {
             section = match name.trim() {
-                known @ ("relations" | "coverage" | "series" | "crashes" | "faults" | "lint"
-                | "store" | "net" | "corpus") => known,
+                known @ ("relations" | "coverage" | "series" | "crashes" | "corpus") => known,
+                known if counters::family(known).is_some() => known,
                 other => {
                     report.push(
                         Severity::Warning,
@@ -272,6 +273,17 @@ pub fn audit_snapshot(text: &str, table: &DescTable) -> Report {
                     ""
                 }
             };
+            continue;
+        }
+        if let Some(table) = counters::family(section) {
+            if table.split_line(line).is_none() {
+                report.push(
+                    Severity::Warning,
+                    "snapshot-malformed-line",
+                    None,
+                    format!("line {lineno}: not a `{} <counter> <value>` line", table.keyword),
+                );
+            }
             continue;
         }
         match section {
@@ -334,30 +346,6 @@ pub fn audit_snapshot(text: &str, table: &DescTable) -> Report {
                         "snapshot-malformed-line",
                         None,
                         format!("line {lineno}: not a 6-field tab-separated crash line"),
-                    );
-                }
-            }
-            "faults" | "lint" | "store" | "net" => {
-                // The line keyword is singular (`fault injected 0`,
-                // `lint repaired 0`, `store recoveries 0`, `net
-                // frames_sent 0`) regardless of the section name.
-                let keyword = match section {
-                    "faults" => "fault",
-                    "lint" => "lint",
-                    "net" => "net",
-                    _ => "store",
-                };
-                let well_formed = line
-                    .strip_prefix(keyword)
-                    .and_then(|rest| rest.strip_prefix(' '))
-                    .and_then(|rest| rest.split_once(' '))
-                    .is_some_and(|(_, v)| v.trim().parse::<u64>().is_ok());
-                if !well_formed {
-                    report.push(
-                        Severity::Warning,
-                        "snapshot-malformed-line",
-                        None,
-                        format!("line {lineno}: not a `{keyword} <counter> <value>` line"),
                     );
                 }
             }

@@ -38,9 +38,10 @@
 //!   energy, and a deterministic prerequisite-insertion repair
 //!   ([`absint::repair_prereqs`]) behind the reachability gate
 //!   ([`absint::gate_prog_static`]).
-//! * [`counters::LintCounters`] — `lint_rejected` / `lint_repaired` plus
-//!   `absint_rejected` / `absint_repaired` totals, serialized through
-//!   fleet snapshots the same way fault counters are.
+//! * [`counters`] — the counter table: the fault, lint, store and net
+//!   counter families, each declared once with its section name, line
+//!   keyword and keys, plus the snapshot, journal and wire text forms
+//!   derived from that declaration.
 //!
 //! The crate depends only on `fuzzlang` and `simkernel` (for the driver
 //! model types), so the fuzzer core, the bench harness, and the
@@ -56,7 +57,10 @@ pub mod repair;
 
 pub use absint::{absint_prog, gate_prog_static, repair_prereqs, static_depth, AbsintResult};
 pub use audit::{audit_corpus, audit_relations, audit_snapshot};
-pub use counters::LintCounters;
+pub use counters::{
+    CounterFamily, CounterRecord, CounterTable, FaultCounters, LintCounters, NetCounters,
+    StoreCounters,
+};
 pub use diag::{Diagnostic, Report, Severity};
 pub use lint::lint_prog;
 pub use model::{ModelEntry, ModelSet};

@@ -18,11 +18,11 @@ use super::snapshot::{crash_fields, FleetSnapshot};
 use crate::crashes::dedup_key;
 use crate::net::NetCounters;
 use crate::store::journal::{journal_name, parse_journal_name, Journal};
-use crate::store::recovery::{Recovered, FLEET_SECTION};
+use crate::store::recovery::{parse_relations, Recovered, FLEET_SECTION};
 use crate::store::snapshot_store::{parse_snapshot_name, SnapshotStore};
 use crate::store::{FleetDelta, StorageMedium, StoreCounters, StoreError};
 use crate::supervisor::FaultCounters;
-use droidfuzz_analysis::LintCounters;
+use droidfuzz_analysis::{CounterFamily, CounterRecord, LintCounters};
 use fuzzlang::desc::DescTable;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -62,31 +62,6 @@ pub trait FleetPersist {
     fn counters(&self) -> StoreCounters;
 }
 
-/// Tolerant parse of a relation-graph export into
-/// `(learns, (from, to) → weight string)` — the diff mirror the journal
-/// writer compares rounds against.
-fn parse_relations(export: &str) -> (u64, BTreeMap<(String, String), String>) {
-    let mut learns = 0u64;
-    let mut edges = BTreeMap::new();
-    for line in export.lines() {
-        if let Some(header) = line.strip_prefix("# relation-graph ") {
-            if let Some(n) = header.split("learns=").nth(1).and_then(|v| v.trim().parse().ok()) {
-                learns = n;
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("edge ") {
-            let mut fields = rest.split('\t');
-            if let (Some(from), Some(to), Some(weight)) =
-                (fields.next(), fields.next(), fields.next())
-            {
-                edges.insert((from.to_owned(), to.to_owned()), weight.to_owned());
-            }
-        }
-    }
-    (learns, edges)
-}
-
 /// The durable [`FleetPersist`] implementation: a write-ahead journal of
 /// per-round hub deltas, compacted into a checksummed snapshot
 /// generation at every checkpoint, on any [`StorageMedium`].
@@ -110,9 +85,9 @@ pub struct FleetStore<M: StorageMedium + Clone> {
     /// re-journals the record (upsert semantics on replay).
     crashes: BTreeMap<String, String>,
     series_len: usize,
-    faults: Option<FaultCounters>,
-    lint: Option<LintCounters>,
-    net: Option<NetCounters>,
+    /// `section → record` of the fault, lint and net totals last
+    /// journaled (re-journaled only when they change).
+    journaled_counters: BTreeMap<&'static str, CounterRecord>,
 }
 
 impl<M: StorageMedium + Clone> FleetStore<M> {
@@ -142,9 +117,7 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
             blocks: BTreeSet::new(),
             crashes: BTreeMap::new(),
             series_len: 0,
-            faults: None,
-            lint: None,
-            net: None,
+            journaled_counters: BTreeMap::new(),
         })
     }
 
@@ -181,9 +154,7 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
             blocks: BTreeSet::new(),
             crashes: BTreeMap::new(),
             series_len: 0,
-            faults: None,
-            lint: None,
-            net: None,
+            journaled_counters: BTreeMap::new(),
         };
         store.prune();
         Ok(store)
@@ -244,7 +215,7 @@ impl<M: StorageMedium + Clone> FleetPersist for FleetStore<M> {
         // here on need journaling.
         self.seed_cursor = hub.tip();
         let export = hub.relations().map(|g| g.export(table)).unwrap_or_default();
-        (self.learns, self.edges) = parse_relations(&export);
+        (self.learns, self.edges, _) = parse_relations(&export);
         self.blocks = hub.coverage_blocks().iter().map(|b| b.0).collect();
         self.crashes = hub
             .crashes()
@@ -275,7 +246,7 @@ impl<M: StorageMedium + Clone> FleetPersist for FleetStore<M> {
         }
 
         let export = hub.relations().map(|g| g.export(table)).unwrap_or_default();
-        let (learns, edges) = parse_relations(&export);
+        let (learns, edges, _) = parse_relations(&export);
         if learns != self.learns {
             self.append(&FleetDelta::Learns(learns));
         }
@@ -325,24 +296,19 @@ impl<M: StorageMedium + Clone> FleetPersist for FleetStore<M> {
             self.append(&FleetDelta::Sample { t, v });
         }
 
-        if self.faults.as_ref() != Some(fault_totals) {
-            self.faults = Some(*fault_totals);
-            self.append(&FleetDelta::Faults(*fault_totals));
-        }
-        if self.lint.as_ref() != Some(lint_totals) {
-            self.lint = Some(*lint_totals);
-            self.append(&FleetDelta::Lint(*lint_totals));
-        }
-        if self.net.as_ref() != Some(net_totals) {
-            self.net = Some(*net_totals);
-            self.append(&FleetDelta::Net(*net_totals));
+        for totals in [fault_totals as &dyn CounterFamily, lint_totals, net_totals] {
+            let record = CounterRecord::of(totals);
+            if self.journaled_counters.get(totals.table().section) != Some(&record) {
+                self.journaled_counters.insert(totals.table().section, record.clone());
+                self.append(&FleetDelta::Counters(record));
+            }
         }
         // Durability counters, campaign-cumulative like the snapshot's
-        // `# section store` (they trail by the bytes of this very record,
+        // store section (they trail by the bytes of this very record,
         // which is fine: the next checkpoint squares them up).
         let mut store_totals = self.baseline;
         store_totals.absorb(&self.counters);
-        self.append(&FleetDelta::Store(store_totals));
+        self.append(&FleetDelta::Counters(CounterRecord::of(&store_totals)));
         self.append(&FleetDelta::Round { round, clock_us });
     }
 

@@ -16,14 +16,8 @@
 //! sample <time_us> <value>
 //! # section crashes
 //! crash <count>\t<first_seen_us>\t<kind>\t<component>\t<title>\t<repro|->
-//! # section faults
-//! fault <counter> <value>
-//! # section lint
-//! lint <counter> <value>
-//! # section store
-//! store <counter> <value>
-//! # section net
-//! net <counter> <value>
+//! # section <family>             one section per counter family, laid
+//! <keyword> <counter> <value>    out by droidfuzz_analysis::counters
 //! # section corpus
 //! <Corpus::export text>
 //! ```
@@ -37,7 +31,7 @@ use crate::crashes::CrashRecord;
 use crate::net::NetCounters;
 use crate::store::StoreCounters;
 use crate::supervisor::FaultCounters;
-use droidfuzz_analysis::LintCounters;
+use droidfuzz_analysis::{CounterFamily, LintCounters};
 use fuzzlang::desc::DescTable;
 use simkernel::coverage::Block;
 use simkernel::report::{BugKind, Component};
@@ -193,6 +187,17 @@ impl FleetSnapshot {
         }
     }
 
+    /// The counter families, in snapshot section order.
+    pub(crate) fn counters(&self) -> [&dyn CounterFamily; 4] {
+        [&self.fault_totals, &self.lint_totals, &self.store_totals, &self.net_totals]
+    }
+
+    /// Mutable [`counters`](Self::counters), in the same order.
+    pub(crate) fn counters_mut(&mut self) -> [&mut dyn CounterFamily; 4] {
+        let Self { fault_totals, lint_totals, store_totals, net_totals, .. } = self;
+        [fault_totals, lint_totals, store_totals, net_totals]
+    }
+
     /// Serializes to snapshot text. `parse` → `to_text` is byte-identical
     /// for a clean snapshot.
     pub fn to_text(&self) -> String {
@@ -212,21 +217,8 @@ impl FleetSnapshot {
         for crash in &self.crashes {
             out.push_str(&format!("crash {}\n", crash_fields(crash)));
         }
-        out.push_str("# section faults\n");
-        for (key, value) in self.fault_totals.entries() {
-            out.push_str(&format!("fault {key} {value}\n"));
-        }
-        out.push_str("# section lint\n");
-        for (key, value) in self.lint_totals.entries() {
-            out.push_str(&format!("lint {key} {value}\n"));
-        }
-        out.push_str("# section store\n");
-        for (key, value) in self.store_totals.entries() {
-            out.push_str(&format!("store {key} {value}\n"));
-        }
-        out.push_str("# section net\n");
-        for (key, value) in self.net_totals.entries() {
-            out.push_str(&format!("net {key} {value}\n"));
+        for counters in self.counters() {
+            counters.write_section(&mut out);
         }
         out.push_str("# section corpus\n");
         out.push_str(&self.corpus_text);
@@ -257,10 +249,8 @@ impl FleetSnapshot {
             Coverage,
             Series,
             Crashes,
-            Faults,
-            Lint,
-            Store,
-            Net,
+            /// A counter family, by its index in [`FleetSnapshot::counters`].
+            Counters(usize),
             Corpus,
         }
         let mut section = Section::None;
@@ -271,15 +261,14 @@ impl FleetSnapshot {
                     "coverage" => Section::Coverage,
                     "series" => Section::Series,
                     "crashes" => Section::Crashes,
-                    "faults" => Section::Faults,
-                    "lint" => Section::Lint,
-                    "store" => Section::Store,
-                    "net" => Section::Net,
                     "corpus" => Section::Corpus,
-                    _ => {
-                        snap.malformed_lines += 1;
-                        Section::None
-                    }
+                    other => match snap.counters().iter().position(|c| c.table().section == other) {
+                        Some(index) => Section::Counters(index),
+                        None => {
+                            snap.malformed_lines += 1;
+                            Section::None
+                        }
+                    },
                 };
                 continue;
             }
@@ -323,43 +312,8 @@ impl FleetSnapshot {
                     Some(record) => snap.crashes.push(record),
                     None => snap.malformed_lines += 1,
                 },
-                Section::Faults => {
-                    let applied = line
-                        .strip_prefix("fault ")
-                        .and_then(|rest| rest.split_once(' '))
-                        .and_then(|(key, v)| Some((key, v.trim().parse::<u64>().ok()?)))
-                        .is_some_and(|(key, v)| snap.fault_totals.set(key, v));
-                    if !applied {
-                        snap.malformed_lines += 1;
-                    }
-                }
-                Section::Lint => {
-                    let applied = line
-                        .strip_prefix("lint ")
-                        .and_then(|rest| rest.split_once(' '))
-                        .and_then(|(key, v)| Some((key, v.trim().parse::<u64>().ok()?)))
-                        .is_some_and(|(key, v)| snap.lint_totals.set(key, v));
-                    if !applied {
-                        snap.malformed_lines += 1;
-                    }
-                }
-                Section::Store => {
-                    let applied = line
-                        .strip_prefix("store ")
-                        .and_then(|rest| rest.split_once(' '))
-                        .and_then(|(key, v)| Some((key, v.trim().parse::<u64>().ok()?)))
-                        .is_some_and(|(key, v)| snap.store_totals.set(key, v));
-                    if !applied {
-                        snap.malformed_lines += 1;
-                    }
-                }
-                Section::Net => {
-                    let applied = line
-                        .strip_prefix("net ")
-                        .and_then(|rest| rest.split_once(' '))
-                        .and_then(|(key, v)| Some((key, v.trim().parse::<u64>().ok()?)))
-                        .is_some_and(|(key, v)| snap.net_totals.set(key, v));
-                    if !applied {
+                Section::Counters(index) => {
+                    if !snap.counters_mut()[index].parse_line(line) {
                         snap.malformed_lines += 1;
                     }
                 }
@@ -489,6 +443,56 @@ mod tests {
         assert_eq!(parsed.store_totals.journal_records, 31);
         assert_eq!(parsed.net_totals, snap.net_totals, "net counters round-trip");
         assert_eq!(parsed.net_totals.frames_sent, 40);
+    }
+
+    #[test]
+    fn counter_sections_are_pinned() {
+        let text = sample_snapshot().to_text();
+        let start = text.find("# section faults\n").expect("faults section");
+        let end = text.find("# section corpus\n").expect("corpus section");
+        assert_eq!(
+            &text[start..end],
+            "# section faults\n\
+             fault injected 12\n\
+             fault link_drops 5\n\
+             fault truncated_replies 0\n\
+             fault transient_retries 4\n\
+             fault gave_up 0\n\
+             fault hangs 2\n\
+             fault quarantined_programs 0\n\
+             fault device_lost 1\n\
+             fault reprovisions 1\n\
+             fault spontaneous_reboots 0\n\
+             # section lint\n\
+             lint rejected 4\n\
+             lint repaired 9\n\
+             lint absint_rejected 2\n\
+             lint absint_repaired 6\n\
+             # section store\n\
+             store journal_records 31\n\
+             store journal_bytes 0\n\
+             store snapshots_written 2\n\
+             store compactions 0\n\
+             store snapshots_skipped 5\n\
+             store recoveries 0\n\
+             store replayed_records 0\n\
+             store dropped_bytes 0\n\
+             store fell_back_generations 0\n\
+             store malformed_lines 0\n\
+             store io_errors 0\n\
+             # section net\n\
+             net frames_sent 40\n\
+             net frames_received 38\n\
+             net bytes_sent 0\n\
+             net bytes_received 0\n\
+             net malformed_frames 0\n\
+             net truncated_frames 0\n\
+             net oversized_frames 0\n\
+             net dup_frames 2\n\
+             net link_retries 0\n\
+             net reconnects 1\n\
+             net sessions 2\n"
+        );
     }
 
     #[test]

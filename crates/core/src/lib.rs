@@ -62,6 +62,7 @@ pub mod engine;
 pub mod exec;
 pub mod feedback;
 pub mod fleet;
+pub(crate) mod frame;
 pub mod generate;
 pub mod minimize;
 pub mod net;

@@ -1,9 +1,9 @@
 //! The wire codec: length-prefixed, CRC-framed messages.
 //!
-//! Frames reuse the write-ahead journal's record framing byte for byte
-//! (`rec <seq> <len> <crc32 hex>\n<payload>\n`, [`crate::store::crc32`])
-//! so a captured stream is auditable by `droidfuzz-lint` with the same
-//! machinery that audits WALs. A stream capture file is
+//! Frames are the write-ahead journal's record framing byte for byte
+//! (`rec <seq> <len> <crc32 hex>\n<payload>\n`, one shared `frame`
+//! module), so a captured stream is auditable by `droidfuzz-lint` with
+//! the same machinery that audits WALs. A stream capture file is
 //! [`NET_STREAM_HEADER`] followed by frames with strictly sequential
 //! per-connection sequence numbers:
 //!
@@ -21,15 +21,14 @@
 //! missing required keys, bad numbers, torn frames, oversized lengths,
 //! and checksum mismatches each surface as their own typed
 //! [`NetError`] and feed their own [`NetCounters`] key.
-//!
-//! [`NetCounters`]: super::NetCounters
 
-use super::NetError;
+use super::{NetCounters, NetError};
 use crate::config::FuzzerConfig;
 use crate::crashes::CrashRecord;
 use crate::fleet::snapshot::{crash_fields, escape, parse_crash_line, unescape};
-use crate::store::crc32;
+use crate::frame::{self, FrameError};
 use crate::supervisor::FaultCounters;
+use droidfuzz_analysis::counters::{parse_tokens, CounterFamily};
 use droidfuzz_analysis::LintCounters;
 
 /// First line of a captured net stream (one direction of one
@@ -149,6 +148,17 @@ pub struct WireShardStats {
     pub lint: LintCounters,
 }
 
+impl WireShardStats {
+    /// The counter families the stat line carries, as `<tag>.<key>` tokens.
+    fn counters(&self) -> [&dyn CounterFamily; 2] {
+        [&self.faults, &self.lint]
+    }
+
+    fn counters_mut(&mut self) -> [&mut dyn CounterFamily; 2] {
+        [&mut self.faults, &mut self.lint]
+    }
+}
+
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -228,7 +238,7 @@ pub enum Message {
         /// Per-shard cumulative telemetry.
         stats: Vec<WireShardStats>,
         /// The worker's wire counters (absorbed into hub totals).
-        net: super::NetCounters,
+        net: NetCounters,
     },
     /// Hub → worker: the round is finalized fleet-wide; proceed.
     RoundAck {
@@ -255,28 +265,22 @@ pub enum Message {
 // Frame layer
 // ---------------------------------------------------------------------
 
-/// Frames `payload` as connection frame `seq` (journal record framing).
-pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut frame =
-        format!("rec {seq} {} {:08x}\n", payload.len(), crc32(payload)).into_bytes();
-    frame.extend_from_slice(payload);
-    frame.push(b'\n');
-    frame
-}
+pub use crate::frame::encode as encode_frame;
 
-/// Parses a frame header line (without the newline).
-pub(crate) fn parse_frame_header(line: &str) -> Option<(u64, usize, u32)> {
-    let mut parts = line.split(' ');
-    if parts.next() != Some("rec") {
-        return None;
+impl From<FrameError> for NetError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TruncatedHeader => NetError::Truncated("frame header".into()),
+            FrameError::NonUtf8Header => NetError::Garbage("non-utf8 frame header".into()),
+            FrameError::BadHeader(line) => NetError::Garbage(format!("bad frame header {line:?}")),
+            FrameError::Oversized(len) => NetError::Oversized(len as u64),
+            FrameError::TruncatedPayload { declared, have } => {
+                NetError::Truncated(format!("payload: declared {declared}, have {have}"))
+            }
+            FrameError::Crc { expected, found } => NetError::Crc { expected, found },
+            FrameError::MissingTerminator => NetError::Garbage("missing frame terminator".into()),
+        }
     }
-    let seq = parts.next()?.parse().ok()?;
-    let len = parts.next()?.parse().ok()?;
-    let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((seq, len, crc))
 }
 
 /// Validates one frame at the start of `bytes` and returns
@@ -284,33 +288,8 @@ pub(crate) fn parse_frame_header(line: &str) -> Option<(u64, usize, u32)> {
 /// not checked — duplicate/ordering policy belongs to the session
 /// layer.
 pub fn decode_frame(bytes: &[u8]) -> Result<(u64, Vec<u8>, usize), NetError> {
-    let line_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| NetError::Truncated("frame header".into()))?;
-    let line = std::str::from_utf8(&bytes[..line_end])
-        .map_err(|_| NetError::Garbage("non-utf8 frame header".into()))?;
-    let (seq, len, crc) = parse_frame_header(line)
-        .ok_or_else(|| NetError::Garbage(format!("bad frame header {line:?}")))?;
-    if len > MAX_FRAME_LEN {
-        return Err(NetError::Oversized(len as u64));
-    }
-    let payload_start = line_end + 1;
-    if payload_start + len + 1 > bytes.len() {
-        return Err(NetError::Truncated(format!(
-            "payload: declared {len}, have {}",
-            bytes.len().saturating_sub(payload_start)
-        )));
-    }
-    let payload = &bytes[payload_start..payload_start + len];
-    let found = crc32(payload);
-    if found != crc {
-        return Err(NetError::Crc { expected: crc, found });
-    }
-    if bytes[payload_start + len] != b'\n' {
-        return Err(NetError::Garbage("missing frame terminator".into()));
-    }
-    Ok((seq, payload.to_vec(), payload_start + len + 1))
+    let frame = frame::decode(bytes, MAX_FRAME_LEN)?;
+    Ok((frame.seq, frame.payload.to_vec(), frame.len))
 }
 
 // ---------------------------------------------------------------------
@@ -323,30 +302,6 @@ fn opt_field(value: Option<&str>) -> String {
 
 fn parse_opt_field(value: &str) -> Option<String> {
     (value != "-").then(|| unescape(value))
-}
-
-fn encode_counter_line<'a>(
-    out: &mut String,
-    keyword: &str,
-    entries: impl IntoIterator<Item = (&'a str, u64)>,
-) {
-    out.push_str(keyword);
-    for (key, value) in entries {
-        out.push_str(&format!(" {key}={value}"));
-    }
-    out.push('\n');
-}
-
-fn decode_counter_tokens(rest: &str, mut set: impl FnMut(&str, u64) -> bool) -> Option<()> {
-    for token in rest.split(' ') {
-        if token.is_empty() {
-            continue;
-        }
-        let (key, value) = token.split_once('=')?;
-        let value: u64 = value.parse().ok()?;
-        let _ = set(key, value);
-    }
-    Some(())
 }
 
 fn encode_stat_line(out: &mut String, s: &WireShardStats) {
@@ -365,23 +320,17 @@ fn encode_stat_line(out: &mut String, s: &WireShardStats) {
         s.quarantines,
         s.pulled,
     ));
-    for (key, value) in s.faults.entries() {
-        out.push_str(&format!(" f.{key}={value}"));
-    }
-    for (key, value) in s.lint.entries() {
-        out.push_str(&format!(" l.{key}={value}"));
+    for counters in s.counters() {
+        counters.write_tokens(out, true);
     }
     out.push('\n');
 }
 
 fn decode_stat_line(rest: &str) -> Option<WireShardStats> {
     let mut s = WireShardStats::default();
-    decode_counter_tokens(rest, |key, value| {
-        if let Some(fault_key) = key.strip_prefix("f.") {
-            return s.faults.set(fault_key, value);
-        }
-        if let Some(lint_key) = key.strip_prefix("l.") {
-            return s.lint.set(lint_key, value);
+    parse_tokens(rest, |key, value| {
+        if let Some((tag, key)) = key.split_once('.') {
+            return s.counters_mut().into_iter().any(|c| c.table().tag == tag && c.set(key, value));
         }
         match key {
             "shard" => s.shard = value as usize,
@@ -475,7 +424,8 @@ pub fn encode_message(msg: &Message) -> String {
         Message::RoundDone { round, stats, net } => {
             out.push_str("msg round-done\n");
             out.push_str(&format!("round {round}\n"));
-            encode_counter_line(&mut out, "net", net.entries());
+            net.write_record(&mut out);
+            out.push('\n');
             for s in stats {
                 encode_stat_line(&mut out, s);
             }
@@ -503,7 +453,7 @@ struct Lines<'a> {
     fields: std::collections::BTreeMap<&'a str, &'a str>,
     crashes: Vec<CrashRecord>,
     stats: Vec<WireShardStats>,
-    net: super::NetCounters,
+    net: NetCounters,
 }
 
 impl<'a> Lines<'a> {
@@ -512,7 +462,7 @@ impl<'a> Lines<'a> {
             fields: std::collections::BTreeMap::new(),
             crashes: Vec::new(),
             stats: Vec::new(),
-            net: super::NetCounters::default(),
+            net: NetCounters::default(),
         };
         for line in body {
             if line.is_empty() {
@@ -530,8 +480,8 @@ impl<'a> Lines<'a> {
                         .ok_or_else(|| NetError::Garbage(format!("bad stat line {line:?}")))?;
                     lines.stats.push(stat);
                 }
-                "net" => {
-                    decode_counter_tokens(value, |k, v| lines.net.set(k, v))
+                _ if key == NetCounters::TABLE.section => {
+                    parse_tokens(value, |k, v| lines.net.set(k, v))
                         .ok_or_else(|| NetError::Garbage(format!("bad net line {line:?}")))?;
                 }
                 _ => {
@@ -780,6 +730,52 @@ mod tests {
         round_trip(Message::RoundAck { round: 5, continue_campaign: false });
         round_trip(Message::Heartbeat { round: 7 });
         round_trip(Message::Bye { reason: "campaign complete".into() });
+    }
+
+    #[test]
+    fn round_done_payload_is_pinned() {
+        let msg = Message::RoundDone {
+            round: 5,
+            stats: vec![WireShardStats {
+                shard: 1,
+                heartbeats: 6,
+                executions: 1234,
+                clock_us: 180_000_000,
+                corpus_len: 12,
+                coverage: 340,
+                crashes: 1,
+                restored_seeds: 3,
+                restarts: 1,
+                quarantines: 1,
+                pulled: 4,
+                faults: FaultCounters { injected: 7, device_lost: 1, ..Default::default() },
+                lint: LintCounters {
+                    rejected: 2,
+                    repaired: 5,
+                    absint_rejected: 1,
+                    absint_repaired: 3,
+                },
+            }],
+            net: NetCounters { frames_sent: 9, ..Default::default() },
+        };
+        assert_eq!(
+            encode_message(&msg),
+            "msg round-done\n\
+             round 5\n\
+             net frames_sent=9 frames_received=0 bytes_sent=0 bytes_received=0 \
+             malformed_frames=0 truncated_frames=0 oversized_frames=0 dup_frames=0 \
+             link_retries=0 reconnects=0 sessions=0\n\
+             stat shard=1 heartbeats=6 execs=1234 clock=180000000 corpus=12 coverage=340 \
+             crashes=1 restored=3 restarts=1 quarantines=1 pulled=4 f.injected=7 \
+             f.link_drops=0 f.truncated_replies=0 f.transient_retries=0 f.gave_up=0 \
+             f.hangs=0 f.quarantined_programs=0 f.device_lost=1 f.reprovisions=0 \
+             f.spontaneous_reboots=0 l.rejected=2 l.repaired=5 l.absint_rejected=1 \
+             l.absint_repaired=3\n"
+        );
+        assert_eq!(
+            encode_frame(0, b"msg heartbeat\nround 1\n"),
+            b"rec 0 22 7fab3a1d\nmsg heartbeat\nround 1\n\n"
+        );
     }
 
     #[test]

@@ -60,6 +60,8 @@ pub use transport::{
     TcpHubListener, TcpTransport, Transport,
 };
 
+pub use droidfuzz_analysis::NetCounters;
+
 use std::fmt;
 
 /// Errors surfaced by the wire layer. Malformed input is *typed*: the
@@ -109,117 +111,9 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Wire-layer counters, carried across a kill/resume through the
-/// snapshot's `# section net` exactly like the fault, lint, and store
-/// counters. Per-session counters are absorbed into the hub's totals;
-/// sums are order-independent, so reliable-link distributed runs
-/// reproduce them bit-for-bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Frames written to a transport.
-    pub frames_sent: u64,
-    /// Frames successfully decoded from a transport.
-    pub frames_received: u64,
-    /// Payload bytes sent (before framing).
-    pub bytes_sent: u64,
-    /// Payload bytes received (after validation).
-    pub bytes_received: u64,
-    /// Frames rejected as garbage or failing CRC.
-    pub malformed_frames: u64,
-    /// Frames rejected as truncated.
-    pub truncated_frames: u64,
-    /// Frames rejected for declaring an oversized length.
-    pub oversized_frames: u64,
-    /// Duplicate frames/messages detected and dropped (replays after a
-    /// reconnect, duplicated deliveries on a faulty link).
-    pub dup_frames: u64,
-    /// Link-level retries (reconnect attempts, resent messages).
-    pub link_retries: u64,
-    /// Successful reconnects after a link loss.
-    pub reconnects: u64,
-    /// Worker sessions accepted by the hub.
-    pub sessions: u64,
-}
-
-impl NetCounters {
-    /// Adds `other` into `self` (baseline + this-run aggregation).
-    pub fn absorb(&mut self, other: &NetCounters) {
-        for (mine, theirs) in
-            self.entries_mut().into_iter().zip(other.entries().map(|(_, v)| v))
-        {
-            *mine.1 += theirs;
-        }
-    }
-
-    /// All counters as `(key, value)` pairs in a fixed order — the
-    /// snapshot wire format.
-    pub fn entries(&self) -> [(&'static str, u64); 11] {
-        [
-            ("frames_sent", self.frames_sent),
-            ("frames_received", self.frames_received),
-            ("bytes_sent", self.bytes_sent),
-            ("bytes_received", self.bytes_received),
-            ("malformed_frames", self.malformed_frames),
-            ("truncated_frames", self.truncated_frames),
-            ("oversized_frames", self.oversized_frames),
-            ("dup_frames", self.dup_frames),
-            ("link_retries", self.link_retries),
-            ("reconnects", self.reconnects),
-            ("sessions", self.sessions),
-        ]
-    }
-
-    fn entries_mut(&mut self) -> [(&'static str, &mut u64); 11] {
-        [
-            ("frames_sent", &mut self.frames_sent),
-            ("frames_received", &mut self.frames_received),
-            ("bytes_sent", &mut self.bytes_sent),
-            ("bytes_received", &mut self.bytes_received),
-            ("malformed_frames", &mut self.malformed_frames),
-            ("truncated_frames", &mut self.truncated_frames),
-            ("oversized_frames", &mut self.oversized_frames),
-            ("dup_frames", &mut self.dup_frames),
-            ("link_retries", &mut self.link_retries),
-            ("reconnects", &mut self.reconnects),
-            ("sessions", &mut self.sessions),
-        ]
-    }
-
-    /// Sets a counter by its [`entries`](Self::entries) key; `false`
-    /// for an unknown key.
-    pub fn set(&mut self, key: &str, value: u64) -> bool {
-        for (name, slot) in self.entries_mut() {
-            if name == key {
-                *slot = value;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Sum of all counters (quick "anything happened?" check).
-    pub fn total(&self) -> u64 {
-        self.entries().iter().map(|(_, v)| v).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_round_trip_entries_and_absorb() {
-        let mut a = NetCounters { frames_sent: 3, dup_frames: 7, ..Default::default() };
-        let b = NetCounters { frames_sent: 2, reconnects: 1, ..Default::default() };
-        a.absorb(&b);
-        assert_eq!(a.frames_sent, 5);
-        assert_eq!(a.reconnects, 1);
-        assert_eq!(a.total(), 5 + 7 + 1);
-        assert!(a.set("sessions", 9));
-        assert!(!a.set("no_such_counter", 1));
-        assert_eq!(a.sessions, 9);
-        assert_eq!(a.entries().len(), 11);
-    }
 
     #[test]
     fn errors_render_their_taxonomy() {

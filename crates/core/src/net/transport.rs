@@ -117,7 +117,7 @@ impl FrameSource for TcpSource {
         let Some((_, len, _)) = std::str::from_utf8(&frame)
             .ok()
             .map(str::trim_end)
-            .and_then(super::codec::parse_frame_header)
+            .and_then(crate::frame::parse_header)
         else {
             // Unparseable header: hand the line up so the decoder
             // reports it as garbage.

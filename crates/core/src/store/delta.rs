@@ -7,19 +7,17 @@
 //! writer ([`FleetStore`]) and the reader ([`RecoveryManager`]) cannot
 //! drift apart.
 //!
-//! Counter deltas (`faults`, `lint`, `store`) carry *absolute* cumulative
+//! Counter deltas (one record per counter family, in the family's
+//! `<section> <key>=<value> ...` form) carry *absolute* cumulative
 //! totals, and `edge` carries the absolute current weight — replaying a
 //! record twice, or replaying a prefix, can therefore never double-count.
 //!
 //! [`FleetStore`]: crate::fleet::persist::FleetStore
 //! [`RecoveryManager`]: super::recovery::RecoveryManager
 
-use super::StoreCounters;
 use crate::crashes::CrashRecord;
 use crate::fleet::snapshot::{crash_fields, escape, parse_crash_line, unescape};
-use crate::net::NetCounters;
-use crate::supervisor::FaultCounters;
-use droidfuzz_analysis::LintCounters;
+use droidfuzz_analysis::{CounterFamily, CounterRecord};
 
 /// One fleet state change, as journaled between checkpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,14 +59,8 @@ pub enum FleetDelta {
         /// Union coverage at that time.
         v: f64,
     },
-    /// Cumulative fleet fault/recovery counters (absolute).
-    Faults(FaultCounters),
-    /// Cumulative lint-gate counters (absolute).
-    Lint(LintCounters),
-    /// Cumulative durability counters (absolute).
-    Store(StoreCounters),
-    /// Cumulative wire-layer counters (absolute).
-    Net(NetCounters),
+    /// One counter family's cumulative totals (absolute).
+    Counters(CounterRecord),
     /// A sync round completed at this fleet clock.
     Round {
         /// Rounds completed (the value a resume starts from).
@@ -76,31 +68,6 @@ pub enum FleetDelta {
         /// Fleet clock, µs.
         clock_us: u64,
     },
-}
-
-fn encode_counters<'a>(
-    keyword: &str,
-    entries: impl IntoIterator<Item = (&'a str, u64)>,
-) -> String {
-    let mut out = keyword.to_owned();
-    for (key, value) in entries {
-        out.push_str(&format!(" {key}={value}"));
-    }
-    out
-}
-
-/// Parses `k=v` tokens onto `set`; unknown keys are tolerated (forward
-/// compatibility), malformed tokens fail the decode.
-fn decode_counters(rest: &str, mut set: impl FnMut(&str, u64) -> bool) -> Option<()> {
-    for token in rest.split(' ') {
-        if token.is_empty() {
-            continue;
-        }
-        let (key, value) = token.split_once('=')?;
-        let value: u64 = value.parse().ok()?;
-        let _ = set(key, value);
-    }
-    Some(())
 }
 
 impl FleetDelta {
@@ -122,10 +89,11 @@ impl FleetDelta {
                 out
             }
             FleetDelta::Sample { t, v } => format!("sample {t} {v}"),
-            FleetDelta::Faults(c) => encode_counters("faults", c.entries()),
-            FleetDelta::Lint(c) => encode_counters("lint", c.entries()),
-            FleetDelta::Store(c) => encode_counters("store", c.entries()),
-            FleetDelta::Net(c) => encode_counters("net", c.entries()),
+            FleetDelta::Counters(record) => {
+                let mut out = String::new();
+                record.write_record(&mut out);
+                out
+            }
             FleetDelta::Round { round, clock_us } => format!("round {round} {clock_us}"),
         }
     }
@@ -178,26 +146,6 @@ impl FleetDelta {
                 v.is_finite()
                     .then_some(FleetDelta::Sample { t: t.parse().ok()?, v })
             }
-            "faults" => {
-                let mut c = FaultCounters::default();
-                decode_counters(rest, |k, v| c.set(k, v))?;
-                Some(FleetDelta::Faults(c))
-            }
-            "lint" => {
-                let mut c = LintCounters::default();
-                decode_counters(rest, |k, v| c.set(k, v))?;
-                Some(FleetDelta::Lint(c))
-            }
-            "store" => {
-                let mut c = StoreCounters::default();
-                decode_counters(rest, |k, v| c.set(k, v))?;
-                Some(FleetDelta::Store(c))
-            }
-            "net" => {
-                let mut c = NetCounters::default();
-                decode_counters(rest, |k, v| c.set(k, v))?;
-                Some(FleetDelta::Net(c))
-            }
             "round" => {
                 let (round, clock_us) = rest.split_once(' ')?;
                 Some(FleetDelta::Round {
@@ -205,7 +153,7 @@ impl FleetDelta {
                     clock_us: clock_us.parse().ok()?,
                 })
             }
-            _ => None,
+            _ => CounterRecord::decode(payload).map(FleetDelta::Counters),
         }
     }
 }
@@ -213,7 +161,49 @@ impl FleetDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use droidfuzz_analysis::{FaultCounters, LintCounters, NetCounters, StoreCounters};
     use simkernel::report::{BugKind, Component};
+
+    /// One counter delta per family with its exact journal payload.
+    fn counter_deltas() -> [(FleetDelta, &'static str); 4] {
+        let record = |family: &dyn CounterFamily| FleetDelta::Counters(CounterRecord::of(family));
+        [
+            (
+                record(&FaultCounters { injected: 3, hangs: 1, ..Default::default() }),
+                "faults injected=3 link_drops=0 truncated_replies=0 transient_retries=0 \
+                 gave_up=0 hangs=1 quarantined_programs=0 device_lost=0 reprovisions=0 \
+                 spontaneous_reboots=0",
+            ),
+            (
+                record(&LintCounters {
+                    rejected: 2,
+                    repaired: 5,
+                    absint_rejected: 1,
+                    absint_repaired: 3,
+                }),
+                "lint rejected=2 repaired=5 absint_rejected=1 absint_repaired=3",
+            ),
+            (
+                record(&StoreCounters { journal_records: 9, recoveries: 1, ..Default::default() }),
+                "store journal_records=9 journal_bytes=0 snapshots_written=0 compactions=0 \
+                 snapshots_skipped=0 recoveries=1 replayed_records=0 dropped_bytes=0 \
+                 fell_back_generations=0 malformed_lines=0 io_errors=0",
+            ),
+            (
+                record(&NetCounters { frames_sent: 17, reconnects: 2, ..Default::default() }),
+                "net frames_sent=17 frames_received=0 bytes_sent=0 bytes_received=0 \
+                 malformed_frames=0 truncated_frames=0 oversized_frames=0 dup_frames=0 \
+                 link_retries=0 reconnects=2 sessions=0",
+            ),
+        ]
+    }
+
+    #[test]
+    fn counter_payloads_are_pinned() {
+        for (delta, payload) in counter_deltas() {
+            assert_eq!(delta.encode(), payload);
+        }
+    }
 
     fn round_trip(delta: FleetDelta) {
         let line = delta.encode();
@@ -237,27 +227,9 @@ mod tests {
         round_trip(FleetDelta::Blocks(vec![0x10, 0xff, 0x2f00]));
         round_trip(FleetDelta::Blocks(vec![]));
         round_trip(FleetDelta::Sample { t: 900_000_000, v: 123.0 });
-        round_trip(FleetDelta::Faults(FaultCounters {
-            injected: 3,
-            hangs: 1,
-            ..Default::default()
-        }));
-        round_trip(FleetDelta::Lint(LintCounters {
-            rejected: 2,
-            repaired: 5,
-            absint_rejected: 1,
-            absint_repaired: 3,
-        }));
-        round_trip(FleetDelta::Store(StoreCounters {
-            journal_records: 9,
-            recoveries: 1,
-            ..Default::default()
-        }));
-        round_trip(FleetDelta::Net(NetCounters {
-            frames_sent: 17,
-            reconnects: 2,
-            ..Default::default()
-        }));
+        for (counters, _) in counter_deltas() {
+            round_trip(counters);
+        }
         round_trip(FleetDelta::Round { round: 12, clock_us: 3_600_000_000 });
     }
 
@@ -300,9 +272,7 @@ mod tests {
         // A newer writer may add counters; an older reader keeps what it
         // knows rather than dropping the record.
         let delta = FleetDelta::decode("faults injected=3 from_the_future=9").unwrap();
-        assert_eq!(
-            delta,
-            FleetDelta::Faults(FaultCounters { injected: 3, ..Default::default() })
-        );
+        let faults = FaultCounters { injected: 3, ..Default::default() };
+        assert_eq!(delta, FleetDelta::Counters(CounterRecord::of(&faults)));
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! `journal-<gen>.wal` holds every durable delta since snapshot
 //! generation `gen` was written (`journal-0.wal` holds deltas since the
-//! empty state). Each record is an independently checksummed frame:
+//! empty state). Each record is an independently checksummed frame,
+//! the same framing (one shared `frame` module) the wire uses:
 //!
 //! ```text
 //! # droidfuzz-store journal v1 base=<gen>
@@ -18,7 +19,8 @@
 //! records that were never durable, never the whole journal.
 
 use super::medium::StorageMedium;
-use super::{crc32, StoreError};
+use super::StoreError;
+use crate::frame;
 
 /// First line of every journal file (before the `base=` field).
 pub const JOURNAL_HEADER: &str = "# droidfuzz-store journal v1";
@@ -69,78 +71,35 @@ pub struct JournalScan {
 /// file; a corrupt frame drops only the tail.
 pub fn decode_journal(bytes: &[u8], base: u64) -> JournalScan {
     let mut scan = JournalScan { base, ..Default::default() };
-    let header_end = match bytes.iter().position(|&b| b == b'\n') {
-        Some(end) => end,
-        None => {
-            scan.dropped_bytes = bytes.len() as u64;
-            scan.truncated = true;
-            return scan;
-        }
-    };
-    let header_ok = std::str::from_utf8(&bytes[..header_end])
-        .ok()
-        .and_then(|line| line.strip_prefix(JOURNAL_HEADER))
-        .map(str::trim)
-        .and_then(|rest| rest.strip_prefix("base="))
-        .and_then(|v| v.parse::<u64>().ok())
-        == Some(base);
-    if !header_ok {
+    let header_end = bytes.iter().position(|&b| b == b'\n').filter(|&end| {
+        std::str::from_utf8(&bytes[..end])
+            .ok()
+            .and_then(|line| line.strip_prefix(JOURNAL_HEADER))
+            .and_then(|rest| rest.trim().strip_prefix("base="))
+            .and_then(|v| v.parse::<u64>().ok())
+            == Some(base)
+    });
+    let Some(header_end) = header_end else {
         scan.dropped_bytes = bytes.len() as u64;
         scan.truncated = true;
         return scan;
-    }
+    };
 
     let mut pos = header_end + 1;
     while pos < bytes.len() {
-        let frame_start = pos;
-        let fail = |scan: &mut JournalScan| {
-            scan.dropped_bytes = (bytes.len() - frame_start) as u64;
-            scan.truncated = true;
-        };
-        let Some(line_end) = bytes[pos..].iter().position(|&b| b == b'\n').map(|e| pos + e)
-        else {
-            fail(&mut scan);
-            return scan;
-        };
-        let Some((seq, len, crc)) = std::str::from_utf8(&bytes[pos..line_end])
+        let record = frame::decode(&bytes[pos..], usize::MAX)
             .ok()
-            .and_then(parse_frame_line)
-        else {
-            fail(&mut scan);
-            return scan;
-        };
-        let payload_start = line_end + 1;
-        if seq != scan.records.len() as u64 || payload_start + len + 1 > bytes.len() {
-            fail(&mut scan);
-            return scan;
-        }
-        let payload = &bytes[payload_start..payload_start + len];
-        if crc32(payload) != crc || bytes[payload_start + len] != b'\n' {
-            fail(&mut scan);
-            return scan;
-        }
-        let Ok(payload) = std::str::from_utf8(payload) else {
-            fail(&mut scan);
-            return scan;
+            .filter(|f| f.seq == scan.records.len() as u64)
+            .and_then(|f| Some((f.seq, std::str::from_utf8(f.payload).ok()?, f.len)));
+        let Some((seq, payload, len)) = record else {
+            scan.dropped_bytes = (bytes.len() - pos) as u64;
+            scan.truncated = true;
+            break;
         };
         scan.records.push(JournalRecord { seq, payload: payload.to_owned() });
-        pos = payload_start + len + 1;
+        pos += len;
     }
     scan
-}
-
-fn parse_frame_line(line: &str) -> Option<(u64, usize, u32)> {
-    let mut parts = line.split(' ');
-    if parts.next() != Some("rec") {
-        return None;
-    }
-    let seq = parts.next()?.parse().ok()?;
-    let len = parts.next()?.parse().ok()?;
-    let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((seq, len, crc))
 }
 
 /// An open journal being appended to.
@@ -176,12 +135,7 @@ impl<M: StorageMedium> Journal<M> {
     /// sequence number.
     pub fn append(&mut self, payload: &str) -> Result<u64, StoreError> {
         let seq = self.next_seq;
-        let bytes = payload.as_bytes();
-        let mut frame =
-            format!("rec {seq} {} {:08x}\n", bytes.len(), crc32(bytes)).into_bytes();
-        frame.extend_from_slice(bytes);
-        frame.push(b'\n');
-        self.medium.append(&self.name, &frame)?;
+        self.medium.append(&self.name, &frame::encode(seq, payload.as_bytes()))?;
         self.medium.sync(&self.name)?;
         self.next_seq += 1;
         Ok(seq)
@@ -197,6 +151,7 @@ impl<M: StorageMedium> Journal<M> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::crc32;
     use super::super::medium::{MediumFault, SimMedium, StorageMedium};
     use super::*;
 
@@ -216,6 +171,17 @@ mod tests {
                 JournalRecord { seq: 0, payload: "seed 2\tr0 = open()".into() },
                 JournalRecord { seq: 1, payload: "edge a\tb\t0.5".into() },
             ]
+        );
+    }
+
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let medium = SimMedium::new();
+        let mut journal = Journal::create(medium.clone(), 3).unwrap();
+        journal.append("learns 3").unwrap();
+        assert_eq!(
+            medium.read(&journal_name(3)).unwrap(),
+            b"# droidfuzz-store journal v1 base=3\nrec 0 8 dc487502\nlearns 3\n"
         );
     }
 

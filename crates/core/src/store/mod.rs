@@ -57,6 +57,8 @@ pub use snapshot_store::{
     STORE_SNAPSHOT_HEADER,
 };
 
+pub use droidfuzz_analysis::StoreCounters;
+
 use std::fmt;
 
 /// Errors surfaced by the storage layer.
@@ -116,99 +118,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Durability/recovery counters, carried across a kill/resume through the
-/// snapshot's `# section store` exactly like the fault and lint counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// Journal records appended.
-    pub journal_records: u64,
-    /// Journal payload bytes appended (before framing).
-    pub journal_bytes: u64,
-    /// Snapshot generations written.
-    pub snapshots_written: u64,
-    /// Journal compactions (rotations into a fresh generation).
-    pub compactions: u64,
-    /// Rounds that skipped re-serializing the full snapshot (checkpoint
-    /// cadence in effect).
-    pub snapshots_skipped: u64,
-    /// Recoveries performed from on-disk state.
-    pub recoveries: u64,
-    /// Journal records replayed during recovery.
-    pub replayed_records: u64,
-    /// Journal bytes dropped after the first corrupt record.
-    pub dropped_bytes: u64,
-    /// Snapshot generations skipped over because they failed validation.
-    pub fell_back_generations: u64,
-    /// Malformed snapshot lines counted by the tolerant parser during
-    /// recovery.
-    pub malformed_lines: u64,
-    /// Storage operations that failed (durability degraded, campaign
-    /// continued).
-    pub io_errors: u64,
-}
-
-impl StoreCounters {
-    /// Adds `other` into `self` (baseline + this-run aggregation).
-    pub fn absorb(&mut self, other: &StoreCounters) {
-        for (mine, theirs) in
-            self.entries_mut().into_iter().zip(other.entries().map(|(_, v)| v))
-        {
-            *mine.1 += theirs;
-        }
-    }
-
-    /// All counters as `(key, value)` pairs in a fixed order — the
-    /// snapshot wire format.
-    pub fn entries(&self) -> [(&'static str, u64); 11] {
-        [
-            ("journal_records", self.journal_records),
-            ("journal_bytes", self.journal_bytes),
-            ("snapshots_written", self.snapshots_written),
-            ("compactions", self.compactions),
-            ("snapshots_skipped", self.snapshots_skipped),
-            ("recoveries", self.recoveries),
-            ("replayed_records", self.replayed_records),
-            ("dropped_bytes", self.dropped_bytes),
-            ("fell_back_generations", self.fell_back_generations),
-            ("malformed_lines", self.malformed_lines),
-            ("io_errors", self.io_errors),
-        ]
-    }
-
-    fn entries_mut(&mut self) -> [(&'static str, &mut u64); 11] {
-        [
-            ("journal_records", &mut self.journal_records),
-            ("journal_bytes", &mut self.journal_bytes),
-            ("snapshots_written", &mut self.snapshots_written),
-            ("compactions", &mut self.compactions),
-            ("snapshots_skipped", &mut self.snapshots_skipped),
-            ("recoveries", &mut self.recoveries),
-            ("replayed_records", &mut self.replayed_records),
-            ("dropped_bytes", &mut self.dropped_bytes),
-            ("fell_back_generations", &mut self.fell_back_generations),
-            ("malformed_lines", &mut self.malformed_lines),
-            ("io_errors", &mut self.io_errors),
-        ]
-    }
-
-    /// Sets a counter by its [`entries`](Self::entries) key; `false` for
-    /// an unknown key.
-    pub fn set(&mut self, key: &str, value: u64) -> bool {
-        for (name, slot) in self.entries_mut() {
-            if name == key {
-                *slot = value;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Sum of all counters (quick "anything happened?" check).
-    pub fn total(&self) -> u64 {
-        self.entries().iter().map(|(_, v)| v).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,20 +141,5 @@ mod tests {
                 assert_ne!(crc32(&flipped), clean, "flip at {byte}:{bit} undetected");
             }
         }
-    }
-
-    #[test]
-    fn counters_round_trip_entries_and_absorb() {
-        let mut a = StoreCounters { journal_records: 3, dropped_bytes: 7, ..Default::default() };
-        let b = StoreCounters { journal_records: 2, recoveries: 1, ..Default::default() };
-        a.absorb(&b);
-        assert_eq!(a.journal_records, 5);
-        assert_eq!(a.recoveries, 1);
-        assert_eq!(a.total(), 5 + 7 + 1);
-        assert!(a.set("io_errors", 9));
-        assert!(!a.set("no_such_counter", 1));
-        assert_eq!(a.io_errors, 9);
-        let keys: Vec<&str> = a.entries().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys.len(), 11);
     }
 }

@@ -128,6 +128,29 @@ pub struct Recovered {
     pub report: RecoveryReport,
 }
 
+/// Tolerant parse of a relation-graph export into its learn count, its
+/// `(from, to) → weight string` edges (verbatim export formatting) and
+/// the number of malformed lines. Edge lines are `edge` journal deltas.
+pub(crate) fn parse_relations(export: &str) -> (u64, BTreeMap<(String, String), String>, u64) {
+    let (mut learns, mut edges, mut malformed) = (0, BTreeMap::new(), 0);
+    for line in export.lines().map(str::trim_end).filter(|line| !line.is_empty()) {
+        if let Some(header) = line.strip_prefix("# relation-graph ") {
+            match header.split("learns=").nth(1).and_then(|v| v.trim().parse().ok()) {
+                Some(n) => learns = learns.max(n),
+                None => malformed += 1,
+            }
+        } else if !line.starts_with('#') {
+            match FleetDelta::decode(line) {
+                Some(FleetDelta::Edge { from, to, weight }) => {
+                    edges.insert((from, to), weight);
+                }
+                _ => malformed += 1,
+            }
+        }
+    }
+    (learns, edges, malformed)
+}
+
 /// Mutable replay target: the base snapshot exploded into the maps the
 /// delta upserts operate on.
 struct ReplayState {
@@ -146,41 +169,7 @@ struct ReplayState {
 
 impl ReplayState {
     fn from_snapshot(mut snap: FleetSnapshot) -> Self {
-        let mut edges = BTreeMap::new();
-        let mut learns = 0u64;
-        let mut malformed = 0u64;
-        for line in std::mem::take(&mut snap.relations_text).lines() {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix("# relation-graph ") {
-                if let Some(n) =
-                    header.split("learns=").nth(1).and_then(|v| v.trim().parse().ok())
-                {
-                    learns = learns.max(n);
-                } else {
-                    malformed += 1;
-                }
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let parsed = line.strip_prefix("edge ").and_then(|rest| {
-                let mut fields = rest.split('\t');
-                let (a, b, w) = (fields.next()?, fields.next()?, fields.next()?);
-                let weight: f64 = w.parse().ok()?;
-                (fields.next().is_none() && weight.is_finite() && weight >= 0.0)
-                    .then(|| ((a.to_owned(), b.to_owned()), w.to_owned()))
-            });
-            match parsed {
-                Some((key, weight)) => {
-                    edges.insert(key, weight);
-                }
-                None => malformed += 1,
-            }
-        }
+        let (learns, edges, malformed) = parse_relations(&std::mem::take(&mut snap.relations_text));
         let blocks = std::mem::take(&mut snap.coverage).into_iter().collect();
         let crashes = std::mem::take(&mut snap.crashes)
             .into_iter()
@@ -218,10 +207,7 @@ impl ReplayState {
                     self.malformed += 1;
                 }
             }
-            FleetDelta::Faults(c) => self.snap.fault_totals = c,
-            FleetDelta::Lint(c) => self.snap.lint_totals = c,
-            FleetDelta::Store(c) => self.snap.store_totals = c,
-            FleetDelta::Net(c) => self.snap.net_totals = c,
+            FleetDelta::Counters(record) => record.apply_to(self.snap.counters_mut()),
             FleetDelta::Round { round, clock_us } => {
                 self.snap.round = round;
                 self.snap.clock_us = clock_us;
@@ -229,10 +215,21 @@ impl ReplayState {
         }
     }
 
-    fn finish(mut self) -> (FleetSnapshot, u64) {
+    /// Rebuilds the snapshot. With `table`, relation edges come out in
+    /// [`RelationGraph::export`] order (source, then target [`DescId`]),
+    /// so the text equals what a live capture of the same graph writes;
+    /// without it they stay in name order.
+    ///
+    /// [`RelationGraph::export`]: crate::relation::RelationGraph::export
+    /// [`DescId`]: fuzzlang::desc::DescId
+    fn finish(mut self, table: Option<&DescTable>) -> (FleetSnapshot, u64) {
         if !self.edges.is_empty() || self.learns > 0 {
+            let mut edges: Vec<_> = self.edges.iter().collect();
+            if let Some(table) = table {
+                edges.sort_by_key(|((from, to), _)| (table.id_of(from), table.id_of(to)));
+            }
             let mut text = format!("# relation-graph learns={}\n", self.learns);
-            for ((from, to), weight) in &self.edges {
+            for ((from, to), weight) in edges {
                 text.push_str(&format!("edge {from}\t{to}\t{weight}\n"));
             }
             self.snap.relations_text = text;
@@ -339,7 +336,7 @@ impl<M: StorageMedium + Clone> RecoveryManager<M> {
                 }
             }
 
-            let (snapshot, replay_malformed) = state.finish();
+            let (snapshot, replay_malformed) = state.finish(audit);
             if let Some(table) = audit {
                 if audit_snapshot(&snapshot.to_text(), table).has_errors() {
                     fell_back += 1;
@@ -408,6 +405,7 @@ mod tests {
     use super::super::snapshot_store::encode_snapshot;
     use super::*;
     use crate::supervisor::FaultCounters;
+    use droidfuzz_analysis::CounterRecord;
     use simkernel::report::{BugKind, Component};
 
     fn base_snapshot() -> FleetSnapshot {
@@ -589,8 +587,8 @@ mod tests {
             &[
                 FleetDelta::Crash(crash.clone()),
                 FleetDelta::Crash(crash.clone()), // replayed twice: still count 7
-                FleetDelta::Faults(faults),
-                FleetDelta::Faults(faults),
+                FleetDelta::Counters(CounterRecord::of(&faults)),
+                FleetDelta::Counters(CounterRecord::of(&faults)),
             ],
         );
         let recovered = RecoveryManager::new(medium).recover().unwrap();

@@ -53,94 +53,7 @@ pub enum FailureClass {
     Bug,
 }
 
-/// Cumulative fault and recovery counters, exported through the fleet
-/// snapshot so kill/resume round-trips them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Faults injected by the plan (all kinds).
-    pub injected: u64,
-    /// ADB link drops encountered.
-    pub link_drops: u64,
-    /// Feedback replies delivered truncated.
-    pub truncated_replies: u64,
-    /// Backoff-then-retry cycles performed.
-    pub transient_retries: u64,
-    /// Executions abandoned after exhausting retries.
-    pub gave_up: u64,
-    /// Executions aborted by the watchdog.
-    pub hangs: u64,
-    /// Programs quarantined for repeated hangs.
-    pub quarantined_programs: u64,
-    /// Silent device losses detected (wedge / dead HAL without report).
-    pub device_lost: u64,
-    /// Re-provision attempts (reboot + liveness probe) performed.
-    pub reprovisions: u64,
-    /// Spontaneous device reboots injected.
-    pub spontaneous_reboots: u64,
-}
-
-impl FaultCounters {
-    /// Adds `other` into `self` (fleet-level aggregation).
-    pub fn absorb(&mut self, other: &FaultCounters) {
-        for (mine, theirs) in self
-            .entries_mut()
-            .into_iter()
-            .zip(other.entries().map(|(_, v)| v))
-        {
-            *mine.1 += theirs;
-        }
-    }
-
-    /// All counters as `(key, value)` pairs in a fixed order — the
-    /// snapshot wire format.
-    pub fn entries(&self) -> [(&'static str, u64); 10] {
-        [
-            ("injected", self.injected),
-            ("link_drops", self.link_drops),
-            ("truncated_replies", self.truncated_replies),
-            ("transient_retries", self.transient_retries),
-            ("gave_up", self.gave_up),
-            ("hangs", self.hangs),
-            ("quarantined_programs", self.quarantined_programs),
-            ("device_lost", self.device_lost),
-            ("reprovisions", self.reprovisions),
-            ("spontaneous_reboots", self.spontaneous_reboots),
-        ]
-    }
-
-    fn entries_mut(&mut self) -> [(&'static str, &mut u64); 10] {
-        [
-            ("injected", &mut self.injected),
-            ("link_drops", &mut self.link_drops),
-            ("truncated_replies", &mut self.truncated_replies),
-            ("transient_retries", &mut self.transient_retries),
-            ("gave_up", &mut self.gave_up),
-            ("hangs", &mut self.hangs),
-            ("quarantined_programs", &mut self.quarantined_programs),
-            ("device_lost", &mut self.device_lost),
-            ("reprovisions", &mut self.reprovisions),
-            ("spontaneous_reboots", &mut self.spontaneous_reboots),
-        ]
-    }
-
-    /// Sets a counter by its [`entries`](Self::entries) key; `false` for
-    /// an unknown key (tolerant snapshot parsing counts those as
-    /// rejected lines).
-    pub fn set(&mut self, key: &str, value: u64) -> bool {
-        for (name, slot) in self.entries_mut() {
-            if name == key {
-                *slot = value;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Sum of all counters (quick "anything happened?" check).
-    pub fn total(&self) -> u64 {
-        self.entries().iter().map(|(_, v)| v).sum()
-    }
-}
+pub use droidfuzz_analysis::FaultCounters;
 
 /// Watchdog and recovery policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

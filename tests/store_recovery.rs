@@ -17,8 +17,8 @@ use droidfuzz_repro::droidfuzz::config::FuzzerConfig;
 use droidfuzz_repro::droidfuzz::engine::FuzzingEngine;
 use droidfuzz_repro::droidfuzz::fleet::{Fleet, FleetConfig, FleetSnapshot};
 use droidfuzz_repro::droidfuzz::store::{
-    FleetDelta, FsMedium, Journal, RecoveryManager, RecoveryOutcome, SimMedium, SnapshotStore,
-    StorageMedium, StoreError, FLEET_SECTION,
+    parse_snapshot_name, FleetDelta, FsMedium, Journal, RecoveryManager, RecoveryOutcome,
+    SimMedium, SnapshotStore, StorageMedium, StoreError, FLEET_SECTION,
 };
 use droidfuzz_repro::fuzzlang::desc::DescTable;
 use droidfuzz_repro::simdevice::catalog;
@@ -189,6 +189,48 @@ proptest! {
         }
         assert_prefix_consistent(crashed, seq, "random crash + flip");
     }
+}
+
+/// Journal replay rebuilds exactly the state the campaign captured. The
+/// last crash image before the kill checkpoint's snapshot lands holds
+/// only the from-empty journal; replaying it must give the killed run's
+/// snapshot text, relation edges in export order included (durability
+/// counters aside: they count the checkpoint itself).
+#[test]
+fn journal_replay_reproduces_the_killed_runs_snapshot() {
+    let spec = catalog::device_e();
+    let medium = SimMedium::new();
+    let config =
+        FleetConfig { hours: 0.3, checkpoint_interval_rounds: 100, ..fleet_config(Some(3)) };
+    let killed = Fleet::new(config)
+        .run_durable(&spec, FuzzerConfig::droidfuzz, medium.clone())
+        .unwrap();
+    assert_eq!(killed.rounds_completed, 3);
+    assert!(killed.snapshot.matches("\nedge ").count() > 10, "the graph learned edges");
+
+    let has_snapshot = |units| {
+        medium.crash_at(units).list().unwrap().iter().any(|n| parse_snapshot_name(n).is_some())
+    };
+    let (mut lo, mut hi) = (0, medium.total_units());
+    assert!(has_snapshot(hi), "the kill checkpoint writes a snapshot");
+    while lo + 1 < hi {
+        let mid = (lo + hi) / 2;
+        if has_snapshot(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+
+    let engine = FuzzingEngine::new(spec.clone().boot(), FuzzerConfig::droidfuzz(0));
+    let recovered =
+        RecoveryManager::new(medium.crash_at(lo)).recover_verified(engine.desc_table()).unwrap();
+    assert_eq!(recovered.report.base_generation, None, "replayed from the empty state");
+    assert!(recovered.report.replayed_records > 100, "{}", recovered.report.describe());
+    let without_store = |text: &str| -> Vec<String> {
+        text.lines().filter(|l| !l.starts_with("store ")).map(str::to_owned).collect()
+    };
+    assert_eq!(without_store(&recovered.snapshot.to_text()), without_store(&killed.snapshot));
 }
 
 /// A durable campaign killed mid-run resumes from the real filesystem
