@@ -45,7 +45,7 @@ pub fn repair_prog(prog: &Prog, table: &DescTable) -> Option<Prog> {
             remap.push(None);
             continue;
         }
-        let desc = table.get(call.desc).clone();
+        let desc = table.get(call.desc);
         let mut args = Vec::with_capacity(desc.args.len());
         let mut droppable = false;
         for (a, arg_desc) in desc.args.iter().enumerate() {
@@ -137,7 +137,7 @@ fn insert_producer(out: &mut Prog, table: &DescTable, kind: &ResourceKind, depth
 }
 
 fn append_leafwards(out: &mut Prog, table: &DescTable, desc_id: DescId, depth: usize) -> Option<usize> {
-    let desc = table.get(desc_id).clone();
+    let desc = table.get(desc_id);
     let mut args = Vec::with_capacity(desc.args.len());
     for arg_desc in &desc.args {
         match &arg_desc.ty {

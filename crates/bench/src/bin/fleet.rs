@@ -28,18 +28,30 @@
 //! hostile-fault overhead at fleet granularity (`DF_BATCH_HOURS` virtual
 //! hours, default 0.15), and sweeps batch {1,4,32} x threads {1,4} for
 //! snapshot byte-identity.
+//!
+//! A sync hot-path arm (`"bench":"sync_hot_paths"`) restores the hub
+//! relation graph of a fixed-seed 4-shard, 6-virtual-hour campaign on the
+//! device and times the §IV-C operations fleet sync and generation call
+//! most: `merge_from` (`merge_us`), `learn` (`learn_us`) and
+//! `relational_generate` (`generate_us`), each the best of eleven timed
+//! repetitions, next to the graph's `edges`.
 
 use droidfuzz::config::FuzzerConfig;
 use droidfuzz::descs::build_syscall_table;
 use droidfuzz::exec::Broker;
-use droidfuzz::fleet::{Fleet, FleetConfig, FleetResult};
-use droidfuzz::generate::random_generate;
+use droidfuzz::fleet::{Fleet, FleetConfig, FleetResult, FleetSnapshot};
+use droidfuzz::generate::{random_generate, relational_generate};
+use droidfuzz::relation::RelationGraph;
+use droidfuzz::FuzzingEngine;
 use droidfuzz::report::ascii_chart;
 use droidfuzz_bench::{env_f64, env_u64};
+use fuzzlang::desc::DescId;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use simdevice::catalog;
 use simdevice::faults::FaultProfile;
+use simdevice::firmware::FirmwareSpec;
 
 fn fleet_config(shards: usize, hours: f64, sync_min: f64, sync: bool) -> FleetConfig {
     FleetConfig {
@@ -55,6 +67,72 @@ fn fleet_config(shards: usize, hours: f64, sync_min: f64, sync: bool) -> FleetCo
 /// fleet's cost metric for "executions-to-coverage".
 fn execs_per_block(result: &FleetResult) -> f64 {
     result.executions as f64 / result.union_coverage.max(1) as f64
+}
+
+/// Best-of-eleven wall time of `run` on a fresh `setup()` state (setup
+/// untimed), in µs per one of its `calls` operations.
+fn best_us_per_call<S>(calls: usize, setup: impl Fn() -> S, run: impl Fn(&mut S)) -> f64 {
+    (0..11)
+        .map(|_| {
+            let mut state = setup();
+            let start = std::time::Instant::now();
+            run(&mut state);
+            let us = start.elapsed().as_secs_f64() * 1e6 / calls as f64;
+            std::hint::black_box(state);
+            us
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The `sync_hot_paths` arm: times relation-graph merge and learn and
+/// relational generation on a campaign's hub graph.
+fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
+    const MERGES: usize = 100;
+    const LEARNS: usize = 20_000;
+    const PROGS: usize = 2_000;
+    let campaign = FleetConfig { shards: 4, hours: 6.0, ..FleetConfig::default() };
+    let result = Fleet::new(campaign).run(spec, FuzzerConfig::droidfuzz);
+    let snapshot = FleetSnapshot::parse(&result.snapshot).expect("own snapshot parses");
+    let config = FuzzerConfig::droidfuzz(1);
+    let engine = FuzzingEngine::new(spec.clone().boot(), config.clone());
+    let table = engine.desc_table();
+    let mut hub = RelationGraph::new(table);
+    hub.import(&snapshot.relations_text, table);
+    let edges = hub.edge_count();
+
+    let merge_us = best_us_per_call(
+        MERGES,
+        || vec![hub.clone(); MERGES],
+        |targets| targets.iter_mut().for_each(|target| target.merge_from(&hub)),
+    );
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let pairs: Vec<(DescId, DescId)> =
+        hub.top_edges(usize::MAX).into_iter().map(|(a, b, _)| (a, b)).collect();
+    let learn_pairs: Vec<_> = (0..LEARNS)
+        .map(|_| *pairs.choose(&mut rng).expect("the campaign learned edges"))
+        .collect();
+    let learn_us = best_us_per_call(
+        LEARNS,
+        || hub.clone(),
+        |graph| learn_pairs.iter().for_each(|&(a, b)| graph.learn(a, b)),
+    );
+    let generate_us = best_us_per_call(
+        PROGS,
+        || StdRng::seed_from_u64(0x6E4),
+        |rng| {
+            for _ in 0..PROGS {
+                std::hint::black_box(relational_generate(table, &hub, config.max_prog_calls, rng));
+            }
+        },
+    );
+    println!(
+        "\nsync hot paths ({edges}-edge hub graph): merge {merge_us:.1} us, \
+         learn {learn_us:.3} us, relational_generate {generate_us:.2} us"
+    );
+    println!(
+        "{{\"bench\":\"sync_hot_paths\",\"device\":\"{device}\",\"edges\":{edges},\
+         \"merge_us\":{merge_us:.2},\"learn_us\":{learn_us:.4},\"generate_us\":{generate_us:.3}}}"
+    );
 }
 
 fn main() {
@@ -339,6 +417,8 @@ fn main() {
          \"hostile_faults_injected\":{}}}",
         hostile_batched.fault_totals.injected,
     );
+
+    sync_hot_paths(&spec, &device);
 
     if let Ok(path) = std::env::var("DF_SNAPSHOT_OUT") {
         if let Err(e) = std::fs::write(&path, &synced.snapshot) {

@@ -12,9 +12,18 @@
 //! with the other in-edges of `b` halved — so the in-weights of every
 //! vertex always sum to exactly 1 once it has any. Periodic decay
 //! multiplies all edge weights by a factor < 1 to escape local optima.
+//!
+//! Weights live row-major (`out[a][b]`), which generation walks; a
+//! per-target source index gives every column operation (Eq. 1 halving,
+//! in-weight sums) time linear in the edges it touches, and bulk column
+//! work (merge, normalization) runs as linear passes over per-vertex
+//! arrays. Every float operation keeps the operand order of a plain
+//! column scan — sums accumulate in ascending source order — so fixed-seed
+//! campaigns stay byte-identical.
 
 use fuzzlang::desc::{DescId, DescTable};
 use rand::Rng;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// The relation graph.
@@ -23,6 +32,9 @@ pub struct RelationGraph {
     vertex_weight: Vec<f64>,
     /// `out[a][b] = w(a,b)`.
     out: BTreeMap<usize, BTreeMap<usize, f64>>,
+    /// `sources[b]`: every `a` with an edge `a → b`, ascending — the
+    /// column index of `out`.
+    sources: Vec<Vec<usize>>,
     edge_count: usize,
     learn_events: u64,
     /// Bumped on every mutation: fleet shards compare it against their
@@ -34,8 +46,16 @@ impl RelationGraph {
     /// Initializes the graph from a description table: all vertices with
     /// their description weights, and `E = ∅`.
     pub fn new(table: &DescTable) -> Self {
-        let vertex_weight = table.iter().map(|(_, d)| d.weight.max(1e-6)).collect();
-        Self { vertex_weight, out: BTreeMap::new(), edge_count: 0, learn_events: 0, revision: 0 }
+        let vertex_weight: Vec<f64> = table.iter().map(|(_, d)| d.weight.max(1e-6)).collect();
+        let sources = vec![Vec::new(); vertex_weight.len()];
+        Self {
+            vertex_weight,
+            out: BTreeMap::new(),
+            sources,
+            edge_count: 0,
+            learn_events: 0,
+            revision: 0,
+        }
     }
 
     /// Number of vertices.
@@ -71,24 +91,19 @@ impl RelationGraph {
         if a == b {
             return;
         }
-        self.learn_events += 1;
+        self.learn_events = self.learn_events.wrapping_add(1);
         self.revision += 1;
         // Halve all other in-edges of b and sum their (halved) weights.
         let mut sum_others = 0.0;
-        for (&from, targets) in &mut self.out {
+        for &from in self.sources.get(b.0).map_or(&[][..], Vec::as_slice) {
             if from == a.0 {
                 continue;
             }
-            if let Some(w) = targets.get_mut(&b.0) {
-                *w /= 2.0;
-                sum_others += *w;
-            }
+            let w = self.out.get_mut(&from).and_then(|m| m.get_mut(&b.0)).expect("indexed edge");
+            *w /= 2.0;
+            sum_others += *w;
         }
-        let entry = self.out.entry(a.0).or_default();
-        let new_weight = (1.0 - sum_others).max(0.0);
-        if entry.insert(b.0, new_weight).is_none() {
-            self.edge_count += 1;
-        }
+        self.set_edge(a.0, b.0, (1.0 - sum_others).max(0.0));
     }
 
     /// Seeds the graph with static priors before the first execution
@@ -111,8 +126,7 @@ impl RelationGraph {
             }
         }
         for (b, sources) in by_target {
-            let existing: f64 = self.out.values().filter_map(|m| m.get(&b)).sum();
-            let budget = (0.5 - existing).max(0.0);
+            let budget = (0.5 - self.in_weight_sum(DescId(b))).max(0.0);
             if budget <= 0.0 {
                 continue;
             }
@@ -126,9 +140,7 @@ impl RelationGraph {
             }
             let w = budget / fresh.len() as f64;
             for a in fresh {
-                if self.out.entry(a).or_default().insert(b, w).is_none() {
-                    self.edge_count += 1;
-                }
+                self.set_edge(a, b, w);
             }
         }
     }
@@ -146,6 +158,7 @@ impl RelationGraph {
         }
         self.out.retain(|_, t| !t.is_empty());
         self.edge_count = self.out.values().map(BTreeMap::len).sum();
+        self.rebuild_sources();
     }
 
     /// Samples a base invocation by vertex weight.
@@ -200,7 +213,8 @@ impl RelationGraph {
     /// Sum of in-edge weights of `b` (1.0 for any vertex that has been a
     /// learn target and has not decayed — the Eq. 1 invariant).
     pub fn in_weight_sum(&self, b: DescId) -> f64 {
-        self.out.values().filter_map(|m| m.get(&b.0)).sum()
+        let sources = self.sources.get(b.0).map_or(&[][..], Vec::as_slice);
+        sources.iter().map(|a| self.out[a][&b.0]).sum()
     }
 
     /// Serializes the learned edges in a line-oriented text format keyed
@@ -239,6 +253,14 @@ impl RelationGraph {
     /// accepted edges inserted and every target's in-weights renormalized
     /// so they remain a valid distribution (Σ ≤ 1, the Eq. 1 invariant).
     pub fn import(&mut self, text: &str, table: &DescTable) -> (usize, usize) {
+        let counts = self.insert_exported(text, table);
+        self.normalize_in_weights();
+        counts
+    }
+
+    /// The staged parse-and-insert half of [`import`](Self::import),
+    /// without the renormalization.
+    fn insert_exported(&mut self, text: &str, table: &DescTable) -> (usize, usize) {
         let mut accepted = 0;
         let mut rejected = 0;
         let mut staged: Vec<(DescId, DescId, f64)> = Vec::new();
@@ -279,11 +301,8 @@ impl RelationGraph {
         self.learn_events = self.learn_events.max(learns);
         self.revision += 1;
         for (a, b, w) in staged {
-            if self.out.entry(a.0).or_default().insert(b.0, w).is_none() {
-                self.edge_count += 1;
-            }
+            self.set_edge(a.0, b.0, w);
         }
-        self.normalize_in_weights();
         (accepted, rejected)
     }
 
@@ -294,6 +313,10 @@ impl RelationGraph {
     /// every in-edge set a valid distribution per Eq. 1 while preserving
     /// the residual stop probability decay has earned.
     ///
+    /// Three linear passes into per-vertex arrays (own, peer and combined
+    /// column sums), one map lookup per peer edge for the add, and one
+    /// rescale pass: `O(|E_self| + |E_peer| log |E| + |V|)`.
+    ///
     /// Both graphs must be built over the same description table (fleet
     /// shards share one device model and config).
     pub fn merge_from(&mut self, peer: &RelationGraph) {
@@ -303,86 +326,112 @@ impl RelationGraph {
             peer.vertex_count(),
             "relation graphs from different vocabularies cannot merge"
         );
-        // Collect per-target in-weight sums on both sides first.
-        let mut target_sum_self: BTreeMap<usize, f64> = BTreeMap::new();
-        for targets in self.out.values() {
-            for (&b, &w) in targets {
-                *target_sum_self.entry(b).or_default() += w;
-            }
-        }
-        let mut target_sum_peer: BTreeMap<usize, f64> = BTreeMap::new();
-        for targets in peer.out.values() {
-            for (&b, &w) in targets {
-                *target_sum_peer.entry(b).or_default() += w;
-            }
-        }
+        let width = self.sources.len().max(peer.sources.len());
+        let own_sums = self.column_sums(width);
+        let peer_sums = peer.column_sums(width);
         for (&a, targets) in &peer.out {
+            let row = self.out.entry(a).or_default();
             for (&b, &w) in targets {
-                let entry = self.out.entry(a).or_default();
-                match entry.get_mut(&b) {
-                    Some(existing) => *existing += w,
-                    None => {
-                        entry.insert(b, w);
+                match row.entry(b) {
+                    Entry::Occupied(mut existing) => *existing.get_mut() += w,
+                    Entry::Vacant(slot) => {
+                        slot.insert(w);
                         self.edge_count += 1;
+                        index_source(&mut self.sources, a, b);
                     }
                 }
             }
         }
         // Rescale each touched target back to a valid distribution.
-        let targets: std::collections::BTreeSet<usize> = target_sum_self
-            .keys()
-            .chain(target_sum_peer.keys())
-            .copied()
+        let scales: Vec<Option<f64>> = self
+            .column_sums(width)
+            .into_iter()
+            .zip(own_sums.iter().zip(&peer_sums))
+            .map(|(combined, (&own, &theirs))| {
+                let goal = own.max(theirs).min(1.0);
+                (combined > 0.0 && (combined - goal).abs() > f64::EPSILON)
+                    .then(|| goal / combined)
+            })
             .collect();
-        for b in targets {
-            let combined: f64 = self.out.values().filter_map(|m| m.get(&b)).sum();
-            let goal = target_sum_self
-                .get(&b)
-                .copied()
-                .unwrap_or(0.0)
-                .max(target_sum_peer.get(&b).copied().unwrap_or(0.0))
-                .min(1.0);
-            if combined > 0.0 && (combined - goal).abs() > f64::EPSILON {
-                let scale = goal / combined;
-                for targets in self.out.values_mut() {
-                    if let Some(w) = targets.get_mut(&b) {
-                        *w *= scale;
-                    }
-                }
-            }
-        }
-        self.learn_events += peer.learn_events;
+        self.rescale_columns(&scales);
+        // Wrapping: fleet sync compounds this count (the hub adds every
+        // shard's, each shard adds the hub's back on pull).
+        self.learn_events = self.learn_events.wrapping_add(peer.learn_events);
     }
 
     /// Caps every vertex's in-weight sum at 1 (used after importing raw
     /// weights from text, which an adversarial snapshot could inflate).
     fn normalize_in_weights(&mut self) {
-        let mut sums: BTreeMap<usize, f64> = BTreeMap::new();
-        for targets in self.out.values() {
-            for (&b, &w) in targets {
-                *sums.entry(b).or_default() += w;
+        // Tolerance keeps clean re-imports byte-identical: float addition
+        // of a learn-produced distribution may land a hair above 1
+        // without being adversarial.
+        let scales: Vec<Option<f64>> = self
+            .column_sums(self.sources.len())
+            .into_iter()
+            .map(|sum| (sum > 1.0 + 1e-9).then(|| 1.0 / sum))
+            .collect();
+        self.rescale_columns(&scales);
+    }
+
+    /// Sets `w(a,b)`, inserting (and indexing) the edge when it is new.
+    fn set_edge(&mut self, a: usize, b: usize, w: f64) {
+        if self.out.entry(a).or_default().insert(b, w).is_none() {
+            self.edge_count += 1;
+            index_source(&mut self.sources, a, b);
+        }
+    }
+
+    /// Rebuilds the source index from `out` (ascending rows push each
+    /// column's sources in order).
+    fn rebuild_sources(&mut self) {
+        self.sources.iter_mut().for_each(Vec::clear);
+        for (&a, targets) in &self.out {
+            for &b in targets.keys() {
+                self.sources[b].push(a);
             }
         }
-        for (b, sum) in sums {
-            // Tolerance keeps clean re-imports byte-identical: float
-            // addition of a learn-produced distribution may land a hair
-            // above 1 without being adversarial.
-            if sum > 1.0 + 1e-9 {
-                let scale = 1.0 / sum;
-                for targets in self.out.values_mut() {
-                    if let Some(w) = targets.get_mut(&b) {
-                        *w *= scale;
-                    }
+    }
+
+    /// In-weight sum of every target `< width`, each accumulated in
+    /// ascending source order.
+    fn column_sums(&self, width: usize) -> Vec<f64> {
+        let mut sums = vec![0.0; width];
+        for targets in self.out.values() {
+            for (&b, &w) in targets {
+                sums[b] += w;
+            }
+        }
+        sums
+    }
+
+    /// Multiplies every in-edge of each target `b` by `scales[b]`, if set.
+    fn rescale_columns(&mut self, scales: &[Option<f64>]) {
+        for targets in self.out.values_mut() {
+            for (&b, w) in targets.iter_mut() {
+                if let Some(scale) = scales[b] {
+                    *w *= scale;
                 }
             }
         }
     }
 }
 
+/// Records the new edge `a → b` in the source index, keeping `b`'s
+/// column ascending.
+fn index_source(sources: &mut Vec<Vec<usize>>, a: usize, b: usize) {
+    if b >= sources.len() {
+        sources.resize_with(b + 1, Vec::new);
+    }
+    let column = &mut sources[b];
+    let at = column.partition_point(|&x| x < a);
+    column.insert(at, a);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fuzzlang::desc::{CallDesc, CallKind};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -657,5 +706,289 @@ mod tests {
         let top = g.top_edges(10);
         assert_eq!(top.len(), 3);
         assert!(top[0].2 >= top[1].2 && top[1].2 >= top[2].2);
+    }
+
+    #[test]
+    fn merge_wraps_compounded_learn_counts() {
+        // Fleet sync compounds learn counts (hub adds shards', shards add
+        // the hub's back), so long synced runs reach u64::MAX; the count
+        // wraps in every build profile instead of panicking in debug.
+        let t = table(3);
+        let text = "# relation-graph learns=18446744073709551615\nedge call0\tcall1\t0.5\n";
+        let mut a = RelationGraph::new(&t);
+        a.import(text, &t);
+        let mut b = RelationGraph::new(&t);
+        b.import(text, &t);
+        a.merge_from(&b);
+        assert_eq!(a.learn_events(), u64::MAX.wrapping_add(u64::MAX));
+        a.learn(DescId(2), DescId(1));
+        a.learn(DescId(2), DescId(0));
+        assert_eq!(a.learn_events(), 0);
+    }
+
+    /// The column-scan implementations the indexed methods replaced: every
+    /// per-target sum rescans all source rows. A differential oracle for
+    /// bit-identity; each call rebuilds the source index from `out` so the
+    /// reference graph's index is derived, never maintained.
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeSet;
+
+        pub fn learn(g: &mut RelationGraph, a: DescId, b: DescId) {
+            if a == b {
+                return;
+            }
+            g.learn_events = g.learn_events.wrapping_add(1);
+            let mut sum_others = 0.0;
+            for (&from, targets) in &mut g.out {
+                if from == a.0 {
+                    continue;
+                }
+                if let Some(w) = targets.get_mut(&b.0) {
+                    *w /= 2.0;
+                    sum_others += *w;
+                }
+            }
+            let entry = g.out.entry(a.0).or_default();
+            let new_weight = (1.0 - sum_others).max(0.0);
+            if entry.insert(b.0, new_weight).is_none() {
+                g.edge_count += 1;
+            }
+            g.rebuild_sources();
+        }
+
+        pub fn seed_prior(g: &mut RelationGraph, pairs: &[(DescId, DescId)]) {
+            let mut by_target: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (a, b) in pairs {
+                if a != b {
+                    by_target.entry(b.0).or_default().push(a.0);
+                }
+            }
+            for (b, sources) in by_target {
+                let existing: f64 = g.out.values().filter_map(|m| m.get(&b)).sum();
+                let budget = (0.5 - existing).max(0.0);
+                if budget <= 0.0 {
+                    continue;
+                }
+                let fresh: Vec<usize> = sources
+                    .iter()
+                    .copied()
+                    .filter(|a| g.out.get(a).is_none_or(|m| !m.contains_key(&b)))
+                    .collect();
+                if fresh.is_empty() {
+                    continue;
+                }
+                let w = budget / fresh.len() as f64;
+                for a in fresh {
+                    if g.out.entry(a).or_default().insert(b, w).is_none() {
+                        g.edge_count += 1;
+                    }
+                }
+            }
+            g.rebuild_sources();
+        }
+
+        pub fn import(g: &mut RelationGraph, text: &str, table: &DescTable) -> (usize, usize) {
+            let counts = g.insert_exported(text, table);
+            normalize_in_weights(g);
+            g.rebuild_sources();
+            counts
+        }
+
+        pub fn merge_from(g: &mut RelationGraph, peer: &RelationGraph) {
+            let mut target_sum_self: BTreeMap<usize, f64> = BTreeMap::new();
+            for targets in g.out.values() {
+                for (&b, &w) in targets {
+                    *target_sum_self.entry(b).or_default() += w;
+                }
+            }
+            let mut target_sum_peer: BTreeMap<usize, f64> = BTreeMap::new();
+            for targets in peer.out.values() {
+                for (&b, &w) in targets {
+                    *target_sum_peer.entry(b).or_default() += w;
+                }
+            }
+            for (&a, targets) in &peer.out {
+                for (&b, &w) in targets {
+                    let entry = g.out.entry(a).or_default();
+                    match entry.get_mut(&b) {
+                        Some(existing) => *existing += w,
+                        None => {
+                            entry.insert(b, w);
+                            g.edge_count += 1;
+                        }
+                    }
+                }
+            }
+            let targets: BTreeSet<usize> =
+                target_sum_self.keys().chain(target_sum_peer.keys()).copied().collect();
+            for b in targets {
+                let combined: f64 = g.out.values().filter_map(|m| m.get(&b)).sum();
+                let goal = target_sum_self
+                    .get(&b)
+                    .copied()
+                    .unwrap_or(0.0)
+                    .max(target_sum_peer.get(&b).copied().unwrap_or(0.0))
+                    .min(1.0);
+                if combined > 0.0 && (combined - goal).abs() > f64::EPSILON {
+                    let scale = goal / combined;
+                    for targets in g.out.values_mut() {
+                        if let Some(w) = targets.get_mut(&b) {
+                            *w *= scale;
+                        }
+                    }
+                }
+            }
+            g.learn_events = g.learn_events.wrapping_add(peer.learn_events);
+            g.rebuild_sources();
+        }
+
+        fn normalize_in_weights(g: &mut RelationGraph) {
+            let mut sums: BTreeMap<usize, f64> = BTreeMap::new();
+            for targets in g.out.values() {
+                for (&b, &w) in targets {
+                    *sums.entry(b).or_default() += w;
+                }
+            }
+            for (b, sum) in sums {
+                if sum > 1.0 + 1e-9 {
+                    let scale = 1.0 / sum;
+                    for targets in g.out.values_mut() {
+                        if let Some(w) = targets.get_mut(&b) {
+                            *w *= scale;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// In-weight sum of `b` by full column scan.
+        pub fn in_weight_sum(g: &RelationGraph, b: usize) -> f64 {
+            g.out.values().filter_map(|m| m.get(&b)).sum()
+        }
+    }
+
+    /// A graph evolved through the indexed methods next to one evolved
+    /// through the reference, op for op.
+    struct Twin {
+        fast: RelationGraph,
+        slow: RelationGraph,
+    }
+
+    const VERTICES: usize = 6;
+    /// Import weights: zero (also negative zero), fractions, inflated,
+    /// below the decay floor.
+    const WEIGHTS: [&str; 9] = ["0", "-0", "0.25", "0.5", "0.9", "1", "3.5", "1e-5", "0.1"];
+
+    impl Twin {
+        fn new(t: &DescTable) -> Self {
+            Self { fast: RelationGraph::new(t), slow: RelationGraph::new(t) }
+        }
+
+        /// Applies one decoded op; `p` parameterizes decay factors,
+        /// prior pairs and import text.
+        fn apply(&mut self, op: u8, p: u8, a: usize, b: usize, t: &DescTable) {
+            let (ia, ib) = (DescId(a), DescId(b));
+            match op {
+                0 => {
+                    self.fast.learn(ia, ib);
+                    reference::learn(&mut self.slow, ia, ib);
+                }
+                1 => {
+                    let factor = [0.3, 0.5, 0.7, 0.9][p as usize % 4];
+                    self.fast.decay(factor);
+                    self.slow.decay(factor);
+                }
+                2 => {
+                    let c = DescId((a + 1 + p as usize) % VERTICES);
+                    let pairs = [(ia, ib), (c, ib), (ib, c), (ia, ib)];
+                    self.fast.seed_prior(&pairs);
+                    reference::seed_prior(&mut self.slow, &pairs);
+                }
+                _ => {
+                    let w = |k: usize| WEIGHTS[(p as usize / (k + 1) + k) % WEIGHTS.len()];
+                    let c = (a + 3) % VERTICES;
+                    let text = format!(
+                        "# relation-graph learns={p}\nedge call{a}\tcall{b}\t{}\n\
+                         edge call{b}\tcall{a}\t{}\nedge call{c}\tcall{b}\t{}\ngarbage\n",
+                        w(0),
+                        w(1),
+                        w(2),
+                    );
+                    let counts = self.fast.import(&text, t);
+                    assert_eq!(counts, reference::import(&mut self.slow, &text, t));
+                }
+            }
+        }
+
+        fn merge_from(&mut self, peer: &Twin) {
+            self.fast.merge_from(&peer.fast);
+            reference::merge_from(&mut self.slow, &peer.slow);
+        }
+
+        fn self_merge(&mut self) {
+            let copy = self.fast.clone();
+            self.fast.merge_from(&copy);
+            let copy = self.slow.clone();
+            reference::merge_from(&mut self.slow, &copy);
+        }
+
+        fn check(&self, t: &DescTable) -> Result<(), String> {
+            let bits = |g: &RelationGraph| -> Vec<(usize, usize, u64)> {
+                g.out
+                    .iter()
+                    .flat_map(|(&a, m)| m.iter().map(move |(&b, w)| (a, b, w.to_bits())))
+                    .collect()
+            };
+            prop_assert_eq!(bits(&self.fast), bits(&self.slow));
+            prop_assert_eq!(self.fast.edge_count, self.slow.edge_count);
+            prop_assert_eq!(self.fast.learn_events, self.slow.learn_events);
+            prop_assert_eq!(self.fast.export(t), self.slow.export(t));
+            // The incrementally maintained index equals one rebuilt from
+            // `out`, and no empty rows exist.
+            prop_assert_eq!(&self.fast.sources, &self.slow.sources);
+            prop_assert!(self.fast.out.values().all(|m| !m.is_empty()));
+            let rows = self.fast.out.values();
+            prop_assert_eq!(self.fast.edge_count, rows.map(BTreeMap::len).sum::<usize>());
+            for b in 0..VERTICES {
+                prop_assert_eq!(
+                    self.fast.in_weight_sum(DescId(b)).to_bits(),
+                    reference::in_weight_sum(&self.slow, b).to_bits()
+                );
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// Random learn/decay/seed/import/merge sequences (including
+        /// weight-0 edges, decayed targets and self-merges) leave the
+        /// indexed graph bit-identical to the column-scan reference.
+        #[test]
+        fn indexed_graph_matches_column_scan_reference(
+            ops in prop::collection::vec(
+                ((0u8..18, 0u8..255), 0usize..VERTICES, 0usize..VERTICES),
+                1..80,
+            ),
+        ) {
+            let t = table(VERTICES);
+            let mut main = Twin::new(&t);
+            let mut peer = Twin::new(&t);
+            for ((op, p), a, b) in ops {
+                match op {
+                    0..=4 => main.apply(0, p, a, b, &t),
+                    5..=7 => main.apply(op - 4, p, a, b, &t),
+                    8..=10 => peer.apply(0, p, a, b, &t),
+                    11 => peer.apply(1, p, a, b, &t),
+                    12 => peer.apply(2 + p % 2, p, a, b, &t),
+                    13 | 14 => main.merge_from(&peer),
+                    15 => main.self_merge(),
+                    16 => peer.merge_from(&main),
+                    _ => peer.self_merge(),
+                }
+                main.check(&t)?;
+                peer.check(&t)?;
+            }
+        }
     }
 }

@@ -70,7 +70,7 @@ fn append_call_depth<R: Rng>(
     if depth > MAX_PRODUCER_DEPTH {
         return None;
     }
-    let desc = table.get(desc_id).clone();
+    let desc = table.get(desc_id);
     let mut args = Vec::with_capacity(desc.args.len());
     for arg in &desc.args {
         match &arg.ty {

@@ -26,7 +26,10 @@ impl ResourceKind {
     /// assert!(!wanted.accepts(&ResourceKind::new("handle:ion")));
     /// ```
     pub fn accepts(&self, produced: &ResourceKind) -> bool {
-        produced.0 == self.0 || produced.0.starts_with(&format!("{}:", self.0))
+        produced
+            .0
+            .strip_prefix(self.0.as_str())
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with(':'))
     }
 }
 
@@ -104,6 +107,40 @@ impl TypeDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The allocating rule `accepts` replaced, kept as its oracle.
+    fn accepts_reference(wanted: &str, produced: &str) -> bool {
+        produced == wanted || produced.starts_with(&format!("{wanted}:"))
+    }
+
+    #[test]
+    fn accepts_matches_reference_on_edge_cases() {
+        let kinds =
+            ["", ":", "fd", "fdx", "fd:", "fd::", "fd:x", "a:b:c", "a:b", "a:b:", "a:bc", "b:c"];
+        for wanted in kinds {
+            for produced in kinds {
+                assert_eq!(
+                    ResourceKind::new(wanted).accepts(&produced.into()),
+                    accepts_reference(wanted, produced),
+                    "wanted {wanted:?}, produced {produced:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// Random kinds over a tiny alphabet (so prefixes and separators
+        /// collide often) agree with the reference rule.
+        #[test]
+        fn accepts_matches_reference(wanted in "[ab:]{0,4}", produced in "[ab:]{0,6}") {
+            let expected = accepts_reference(&wanted, &produced);
+            let kind = ResourceKind::new(wanted.as_str());
+            prop_assert_eq!(kind.accepts(&produced.as_str().into()), expected);
+            // Extending a wanted kind by a separator suffix always matches.
+            prop_assert!(kind.accepts(&format!("{wanted}:{produced}").as_str().into()));
+        }
+    }
 
     #[test]
     fn resource_prefix_matching() {

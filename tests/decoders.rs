@@ -1,11 +1,14 @@
 //! Decoder robustness: every parser of untrusted bytes — fleet snapshot,
-//! journal delta, journal file, wire frame, wire message and the
-//! snapshot auditor — must answer random bytes and single-byte mutations
-//! of valid encodings with `Ok`, a typed error or a counted rejection,
-//! and never panic.
+//! journal delta, journal file, wire frame, wire message, the snapshot
+//! auditor, corpus import (plain and gated), relation-graph import and
+//! program text — must answer random bytes and single-byte mutations of
+//! valid encodings with `Ok`, a typed error or a counted rejection, and
+//! never panic. An imported relation graph, alone and merged into a
+//! learned one, must also audit clean for Eq. 1.
 
 use std::sync::OnceLock;
 
+use droidfuzz_repro::droidfuzz::corpus::Corpus;
 use droidfuzz_repro::droidfuzz::crashes::CrashRecord;
 use droidfuzz_repro::droidfuzz::fleet::FleetSnapshot;
 use droidfuzz_repro::droidfuzz::net::{
@@ -13,10 +16,14 @@ use droidfuzz_repro::droidfuzz::net::{
     WireShardStats, WireUpdate,
 };
 use droidfuzz_repro::droidfuzz::store::{decode_journal, FleetDelta, Journal, SimMedium};
+use droidfuzz_repro::droidfuzz::relation::RelationGraph;
 use droidfuzz_repro::droidfuzz::store::{journal_name, StorageMedium, StoreCounters};
 use droidfuzz_repro::droidfuzz::supervisor::FaultCounters;
-use droidfuzz_repro::droidfuzz_analysis::{audit_snapshot, CounterRecord, LintCounters};
-use droidfuzz_repro::fuzzlang::desc::{CallDesc, DescTable};
+use droidfuzz_repro::droidfuzz_analysis::{
+    audit_relations, audit_snapshot, CounterRecord, LintCounters,
+};
+use droidfuzz_repro::fuzzlang::desc::{CallDesc, DescId, DescTable};
+use droidfuzz_repro::fuzzlang::text::{format_prog, parse_prog};
 use droidfuzz_repro::simkernel::report::{BugKind, Component};
 use proptest::prelude::*;
 
@@ -24,7 +31,18 @@ fn table() -> DescTable {
     let mut t = DescTable::new();
     t.add(CallDesc::syscall_open("/dev/video0"));
     t.add(CallDesc::syscall_close());
+    t.add(CallDesc::syscall_open("/dev/ion"));
     t
+}
+
+/// A graph with learned and decayed in-edges over [`table`].
+fn learned_graph(table: &DescTable) -> RelationGraph {
+    let mut g = RelationGraph::new(table);
+    g.learn(DescId(0), DescId(1));
+    g.learn(DescId(2), DescId(1));
+    g.decay(0.7);
+    g.learn(DescId(1), DescId(0));
+    g
 }
 
 fn crash() -> CrashRecord {
@@ -100,7 +118,13 @@ fn valid_encodings() -> &'static [Vec<u8>] {
             Message::Hello { version: 1, worker: "w0".into(), shards: 2, claim: Some(1) },
         ];
 
-        let mut samples = vec![snapshot.to_text().into_bytes()];
+        let table = table();
+        let mut samples = vec![
+            snapshot.to_text().into_bytes(),
+            snapshot.corpus_text.clone().into_bytes(),
+            learned_graph(&table).export(&table).into_bytes(),
+            "r0 = openat$/dev/video0()\nr1 = openat$/dev/ion()\nclose(r1)\nclose(r0)\n".into(),
+        ];
         samples.push(medium.read(&journal_name(0)).unwrap());
         samples.extend(deltas.iter().map(|d| d.encode().into_bytes()));
         for (seq, message) in messages.iter().enumerate() {
@@ -133,6 +157,28 @@ fn decode_everything(bytes: &[u8], table: &DescTable) -> Result<(), String> {
         prop_assert_eq!(decode_message(&encode_message(&message)), Ok(message));
     }
     let _ = audit_snapshot(&text, table);
+
+    let seed_records = text.matches("# seed ").count() + 1;
+    let (accepted, rejected) = Corpus::new().import(&text, table);
+    prop_assert!(accepted + rejected <= seed_records);
+    let mut counters = LintCounters::default();
+    let (accepted, rejected) = Corpus::new().import_gated(&text, table, &mut counters);
+    prop_assert!(accepted + rejected <= seed_records);
+
+    let mut graph = RelationGraph::new(table);
+    let (accepted, rejected) = graph.import(&text, table);
+    prop_assert!(accepted + rejected <= text.lines().count());
+    prop_assert!(graph.edge_count() <= accepted);
+    let report = audit_relations(&graph.export(table), table);
+    prop_assert!(!report.has_errors(), "imported graph: {:?}", report.diagnostics);
+    let mut merged = learned_graph(table);
+    merged.merge_from(&graph);
+    let report = audit_relations(&merged.export(table), table);
+    prop_assert!(!report.has_errors(), "merged graph: {:?}", report.diagnostics);
+
+    if let Ok(prog) = parse_prog(&text, table) {
+        prop_assert_eq!(parse_prog(&format_prog(&prog, table), table), Ok(prog));
+    }
     Ok(())
 }
 
