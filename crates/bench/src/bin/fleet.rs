@@ -34,9 +34,14 @@
 //! device and times the §IV-C operations fleet sync and generation call
 //! most: `merge_from` (`merge_us`), `learn` (`learn_us`) and
 //! `relational_generate` (`generate_us`), each the best of eleven timed
-//! repetitions, next to the graph's `edges`.
+//! repetitions, next to the graph's `edges`. The same campaign's hub
+//! corpus, restored into an engine corpus of `seeds` seeds, times the
+//! program text every sync round moves seeds through: writing the corpus
+//! text (`format_us`) and parsing each seed's program (`parse_us`), in µs
+//! per seed, best of eleven.
 
 use droidfuzz::config::FuzzerConfig;
+use droidfuzz::corpus::Corpus;
 use droidfuzz::descs::build_syscall_table;
 use droidfuzz::exec::Broker;
 use droidfuzz::fleet::{Fleet, FleetConfig, FleetResult, FleetSnapshot};
@@ -46,6 +51,7 @@ use droidfuzz::FuzzingEngine;
 use droidfuzz::report::ascii_chart;
 use droidfuzz_bench::{env_f64, env_u64};
 use fuzzlang::desc::DescId;
+use fuzzlang::text::{format_prog, parse_prog};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -85,7 +91,8 @@ fn best_us_per_call<S>(calls: usize, setup: impl Fn() -> S, run: impl Fn(&mut S)
 }
 
 /// The `sync_hot_paths` arm: times relation-graph merge and learn and
-/// relational generation on a campaign's hub graph.
+/// relational generation on a campaign's hub graph, and the program text
+/// codec on its hub corpus.
 fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
     const MERGES: usize = 100;
     const LEARNS: usize = 20_000;
@@ -125,13 +132,29 @@ fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
             }
         },
     );
+
+    let mut corpus = Corpus::new();
+    corpus.import(&snapshot.corpus_text, table);
+    let seeds = corpus.len().max(1);
+    let format_us = best_us_per_call(seeds, || (), |()| {
+        std::hint::black_box(corpus.export(table));
+    });
+    let bodies: Vec<String> =
+        corpus.seeds().iter().map(|seed| format_prog(&seed.prog, table)).collect();
+    let parse_us = best_us_per_call(seeds, || (), |()| {
+        for body in &bodies {
+            std::hint::black_box(parse_prog(body, table).expect("own text parses"));
+        }
+    });
     println!(
-        "\nsync hot paths ({edges}-edge hub graph): merge {merge_us:.1} us, \
-         learn {learn_us:.3} us, relational_generate {generate_us:.2} us"
+        "\nsync hot paths ({edges}-edge hub graph, {seeds}-seed hub corpus): merge {merge_us:.1} us, \
+         learn {learn_us:.3} us, relational_generate {generate_us:.2} us, \
+         format {format_us:.2} us/seed, parse {parse_us:.2} us/seed"
     );
     println!(
         "{{\"bench\":\"sync_hot_paths\",\"device\":\"{device}\",\"edges\":{edges},\
-         \"merge_us\":{merge_us:.2},\"learn_us\":{learn_us:.4},\"generate_us\":{generate_us:.3}}}"
+         \"merge_us\":{merge_us:.2},\"learn_us\":{learn_us:.4},\"generate_us\":{generate_us:.3},\
+         \"seeds\":{seeds},\"format_us\":{format_us:.3},\"parse_us\":{parse_us:.3}}}"
     );
 }
 

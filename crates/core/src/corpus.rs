@@ -4,10 +4,27 @@
 use droidfuzz_analysis::{gate_prog, LintCounters};
 use fuzzlang::desc::DescTable;
 use fuzzlang::prog::Prog;
-use fuzzlang::text::format_prog;
+use fuzzlang::text::format_prog_into;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::cmp::Reverse;
+use std::fmt::Write as _;
+
+/// Appends the `# seed <index> signals=<score>` header of one record in
+/// the corpus interchange format.
+pub(crate) fn push_seed_header(out: &mut String, index: usize, signals: usize) {
+    let _ = writeln!(out, "# seed {index} signals={signals}");
+}
+
+/// Appends the program lines of one seed record (the lines starting with
+/// `r`), each newline-terminated — the record body both the corpus import
+/// and the hub key seeds by.
+pub(crate) fn push_program_lines(out: &mut String, record: &str) {
+    for line in record.lines().filter(|l| l.starts_with('r')) {
+        out.push_str(line);
+        out.push('\n');
+    }
+}
 
 /// One seed.
 #[derive(Debug, Clone)]
@@ -145,13 +162,7 @@ impl Corpus {
     /// Serializes the corpus in the DSL text format, seeds separated by
     /// `# seed` comment headers — the daemon's persistent representation.
     pub fn export(&self, table: &DescTable) -> String {
-        let mut out = String::new();
-        for (i, seed) in self.seeds.iter().enumerate() {
-            out.push_str(&format!("# seed {i} signals={}\n", seed.new_signals));
-            out.push_str(&format_prog(&seed.prog, table));
-            out.push('\n');
-        }
-        out
+        self.export_since(table, 0)
     }
 
     /// Serializes only the seeds admitted after sequence `min_seq` (and
@@ -162,8 +173,8 @@ impl Corpus {
     pub fn export_since(&self, table: &DescTable, min_seq: u64) -> String {
         let mut out = String::new();
         for (i, seed) in self.seeds.iter().filter(|s| s.seq > min_seq).enumerate() {
-            out.push_str(&format!("# seed {i} signals={}\n", seed.new_signals));
-            out.push_str(&format_prog(&seed.prog, table));
+            push_seed_header(&mut out, i, seed.new_signals);
+            format_prog_into(&seed.prog, table, &mut out);
             out.push('\n');
         }
         out
@@ -200,15 +211,13 @@ impl Corpus {
     ) -> (usize, usize) {
         let mut accepted = 0;
         let mut rejected = 0;
+        let mut body = String::new();
         for (i, chunk) in text.split("# seed ").enumerate() {
             if chunk.trim().is_empty() {
                 continue;
             }
-            let body: String = chunk
-                .lines()
-                .filter(|l| l.starts_with('r'))
-                .map(|l| format!("{l}\n"))
-                .collect();
+            body.clear();
+            push_program_lines(&mut body, chunk);
             if body.is_empty() {
                 // A header with no program lines is a damaged seed record;
                 // the split's first chunk (text before any header) is

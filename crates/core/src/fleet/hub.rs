@@ -7,6 +7,7 @@
 //! fleet crash database, and the union coverage series — everything the
 //! snapshot serializes.
 
+use crate::corpus::{push_program_lines, push_seed_header};
 use crate::crashes::{CrashDb, CrashRecord};
 use crate::relation::RelationGraph;
 use crate::stats::Series;
@@ -30,6 +31,13 @@ pub struct HubSeed {
     /// Publishing shard (or [`HUB_ORIGIN`] for snapshot restores) — a
     /// shard never pulls its own seeds back.
     pub origin: usize,
+}
+
+/// Appends one hub seed as record `index` of a corpus interchange text.
+fn push_hub_seed(text: &mut String, index: usize, seed: &HubSeed) {
+    push_seed_header(text, index, seed.signals);
+    text.push_str(&seed.body);
+    text.push('\n');
 }
 
 /// The fleet corpus hub.
@@ -80,11 +88,8 @@ impl CorpusHub {
             if chunk.trim().is_empty() {
                 continue;
             }
-            let body: String = chunk
-                .lines()
-                .filter(|l| l.starts_with('r'))
-                .map(|l| format!("{l}\n"))
-                .collect();
+            let mut body = String::with_capacity(chunk.len());
+            push_program_lines(&mut body, chunk);
             if body.is_empty() {
                 continue;
             }
@@ -130,11 +135,9 @@ impl CorpusHub {
     pub fn pull_corpus(&self, origin: usize, cursor: u64) -> (String, u64, usize) {
         let mut text = String::new();
         let mut count = 0;
-        for seed in &self.live {
-            if seed.seq >= cursor && seed.origin != origin {
-                text.push_str(&format!("# seed {count} signals={}\n{}\n", seed.signals, seed.body));
-                count += 1;
-            }
+        for seed in self.seeds_since(cursor).filter(|s| s.origin != origin) {
+            push_hub_seed(&mut text, count, seed);
+            count += 1;
         }
         (text, self.next_seq, count)
     }
@@ -143,7 +146,7 @@ impl CorpusHub {
     pub fn corpus_text(&self) -> String {
         let mut text = String::new();
         for (i, seed) in self.live.iter().enumerate() {
-            text.push_str(&format!("# seed {i} signals={}\n{}\n", seed.signals, seed.body));
+            push_hub_seed(&mut text, i, seed);
         }
         text
     }

@@ -10,7 +10,9 @@
 //! Eq. 1 normalization. At every checkpoint
 //! ([`FleetConfig::checkpoint_interval_rounds`], plus the final round and
 //! any kill) the hub state is serialized to a [`FleetSnapshot`], so a
-//! killed campaign resumes from its last checkpoint — and with
+//! killed campaign resumes from its last checkpoint. An in-memory
+//! campaign has no reader for the cadence checkpoints and builds only the
+//! final (or kill) one, which becomes [`FleetResult::snapshot`] — and with
 //! [`Fleet::run_durable`] the rounds in between are covered too: a
 //! [`FleetStore`] journals every round's hub deltas to a
 //! [`StorageMedium`] and [`Fleet::resume_durable`] recovers snapshot +
@@ -26,24 +28,29 @@
 //! losses) is quarantined for an exponentially growing window of rounds
 //! before it may rejoin.
 //!
-//! Execution is parallel: each sync round, the shards are split into
-//! [`FleetConfig::threads`] contiguous chunks and every chunk runs on a
-//! `std::thread::scope` worker — the round boundary (the scope join) is
-//! the only barrier. At the end of its slice each shard assembles a
-//! batched [`ShardUpdate`] *on the worker thread* (corpus delta by
-//! admission sequence, newly observed coverage blocks, and a relation
-//! graph only when its revision moved), so the orchestrator's sequential
-//! section is reduced to applying pre-built messages.
+//! Execution is parallel: the shards are split into
+//! [`FleetConfig::threads`] contiguous chunks, and every pooled phase
+//! runs each chunk on its own `std::thread::scope` worker — engine boot,
+//! the start-of-campaign restore from the hub, each round's slice, and
+//! each round's pull. A phase ends at its scope join, the only barrier.
+//! At the end of its slice each shard assembles a batched [`ShardUpdate`]
+//! *on the worker thread* (corpus delta by admission sequence, newly
+//! observed coverage blocks, and a relation graph only when its revision
+//! moved), so the orchestrator's sequential section is reduced to
+//! applying pre-built messages.
 //!
-//! Determinism: worker threads only ever touch their own shards, and all
-//! hub traffic — applying the batched updates, crash sync, pulls, persist
-//! sink calls — happens on the orchestrator thread in shard-index order
-//! regardless of which worker finished first. Restarts and quarantines
-//! also run on the orchestrator thread in shard order, and replacement
-//! engines are seeded from `(shard, restarts)`, so a fixed `(seed, shard
-//! count, fault profile)` produces identical results run-to-run and for
-//! every `threads` value: `threads: 1` runs the shards sequentially in
-//! ascending order and any other worker count is bit-identical to it.
+//! Determinism: worker threads only ever touch their own shards, and
+//! everything that writes the hub — applying the batched updates, crash
+//! sync, the coverage sample — happens on the orchestrator thread in
+//! shard-index order regardless of which worker finished first. Pulls go
+//! back to the pool only once the hub holds the whole round, and only
+//! read it, so no shard's pull can see another's. Restarts, quarantines,
+//! persist sink calls and checkpoints also run on the orchestrator thread
+//! in shard order, and replacement engines are seeded from `(shard,
+//! restarts)`, so a fixed `(seed, shard count, fault profile)` produces
+//! identical results run-to-run and for every `threads` value:
+//! `threads: 1` runs the shards sequentially in ascending order and any
+//! other worker count is bit-identical to it.
 
 pub mod events;
 pub mod hub;
@@ -94,7 +101,11 @@ pub struct FleetConfig {
     /// least 1). Rounds in between skip the re-serialization entirely —
     /// the journal already carries their deltas — and are counted in
     /// [`FleetStats::snapshots_skipped`]. The final round and a
-    /// `kill_after_rounds` kill always checkpoint.
+    /// `kill_after_rounds` kill always checkpoint. An in-memory run (no
+    /// persist sink) only builds the snapshots someone reads: the final
+    /// or kill round's, which becomes [`FleetResult::snapshot`]. Its
+    /// cadence rounds build nothing but still do not count as skipped, so
+    /// the counters match a durable run's.
     pub checkpoint_interval_rounds: usize,
     /// Worker threads per round: the shards are split into this many
     /// contiguous chunks, each run by one scoped thread. `0` (the
@@ -196,6 +207,26 @@ impl FleetResult {
             &self.shards.iter().map(|s| s.final_coverage).collect::<Vec<_>>(),
         )
     }
+}
+
+/// Runs `work` on every item, split into contiguous chunks of
+/// `chunk_len` with one scoped worker thread per chunk, and returns the
+/// results in item order whichever worker finishes first. Boot, restore,
+/// slice and pull all go through it, so every phase splits the shards the
+/// same way.
+pub(crate) fn on_workers<T: Send, R: Send>(
+    items: &mut [T],
+    chunk_len: usize,
+    work: impl Fn(&mut T) -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks_mut(chunk_len)
+            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(work).collect::<Vec<_>>()))
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("fleet worker")).collect()
+    })
 }
 
 /// The fleet orchestrator.
@@ -317,25 +348,9 @@ impl Fleet {
 
         // Boot the engines on the worker pool (probing is the expensive
         // part), then wrap them into shards on the orchestrator thread.
-        // Chunks are contiguous and joined in order, so the engine list
-        // comes back in shard order for any worker count.
-        let shard_ids: Vec<usize> = (0..cfg.shards).collect();
-        let engines: Vec<FuzzingEngine> = thread::scope(|scope| {
-            let handles: Vec<_> = shard_ids
-                .chunks(chunk_len)
-                .map(|ids| {
-                    let spec = spec.clone();
-                    scope.spawn(move || {
-                        ids.iter()
-                            .map(|&i| FuzzingEngine::new(spec.clone().boot(), make_config(i as u64 + 1)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard boot"))
-                .collect()
+        let mut shard_ids: Vec<usize> = (0..cfg.shards).collect();
+        let engines = on_workers(&mut shard_ids, chunk_len, |&mut i| {
+            FuzzingEngine::new(spec.clone().boot(), make_config(i as u64 + 1))
         });
         let mut shards: Vec<Shard> = engines
             .into_iter()
@@ -353,12 +368,12 @@ impl Fleet {
                 hub.set_relations(graph);
             }
         }
-        for shard in &mut shards {
-            if cfg.sync {
-                shard.restore_from_hub(&hub);
-            } else {
-                // Independent repeats keep their corpora private; still
-                // announce the shard on the bus.
+        if cfg.sync {
+            on_workers(&mut shards, chunk_len, |shard| shard.restore_from_hub(&hub));
+        } else {
+            // Independent repeats keep their corpora private; still
+            // announce the shards on the bus.
+            for shard in &shards {
                 bus.emit(FleetEvent::ShardStarted { shard: shard.id, restored_seeds: 0 });
             }
         }
@@ -393,8 +408,9 @@ impl Fleet {
 
         let mut rounds_completed = start_round;
         let mut clock_us = clock_offset_us;
-        let mut snapshot_text =
-            resume.as_ref().map_or_else(String::new, FleetSnapshot::to_text);
+        // The last checkpoint's text; a resume that has no round left to
+        // run hands its snapshot back unchanged.
+        let mut snapshot_text = None;
         let mut killed = false;
         let mut snapshots_skipped = 0u64;
         let checkpoint_interval = self.config.checkpoint_interval_rounds.max(1);
@@ -410,42 +426,28 @@ impl Fleet {
             // clock without a giant catch-up slice) but still report an
             // update, which is empty for an idle shard. Chunks join in
             // order, so the updates come back in shard-id order.
-            let updates: Vec<ShardUpdate> = thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .chunks_mut(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut updates = Vec::with_capacity(chunk.len());
-                            for shard in chunk {
-                                if shard.is_quarantined(round) {
-                                    shard.skip_slice(slice_us);
-                                } else {
-                                    shard.run_slice(global_target, round);
-                                }
-                                updates.push(shard.prepare_update());
-                            }
-                            updates
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard worker"))
-                    .collect()
+            let updates = on_workers(&mut shards, chunk_len, |shard| {
+                if shard.is_quarantined(round) {
+                    shard.skip_slice(slice_us);
+                } else {
+                    shard.run_slice(global_target, round);
+                }
+                shard.prepare_update()
             });
 
-            // Sync round, sequential in shard order for determinism.
+            // Sync round. Everything that writes the hub runs here, in
+            // shard order; pulls only read it, so they go back to the
+            // worker pool once the hub holds the whole round.
             let mut published = 0;
             for update in &updates {
                 published += hub.apply_update(update);
             }
             hub.sync_crashes(shards.iter().map(|s| s.engine().crash_db()));
-            let mut pulled = 0;
-            if cfg.sync {
-                for shard in &mut shards {
-                    pulled += shard.pull(&hub);
-                }
-            }
+            let pulled: usize = if cfg.sync {
+                on_workers(&mut shards, chunk_len, |shard| shard.pull(&hub)).into_iter().sum()
+            } else {
+                0
+            };
             hub.record_sample(global_target);
             bus.emit(FleetEvent::SyncCompleted {
                 round,
@@ -512,10 +514,15 @@ impl Fleet {
             // Re-serializing the full snapshot every round is the single
             // biggest fixed cost of a sync round; with a journal (or a
             // coarser cadence) the in-between rounds skip it — the final
-            // round and a kill always checkpoint.
+            // round and a kill always checkpoint. Without a persist sink
+            // only the final (or kill) checkpoint is ever read, so the
+            // cadence rounds before it build nothing; they still do not
+            // count as skipped.
             let is_kill = cfg.kill_after_rounds == Some(rounds_this_run);
-            let is_last = rounds_completed == total_rounds;
-            if is_kill || is_last || rounds_this_run.is_multiple_of(checkpoint_interval) {
+            let is_final = is_kill || rounds_completed == total_rounds;
+            if !is_final && !rounds_this_run.is_multiple_of(checkpoint_interval) {
+                snapshots_skipped += 1;
+            } else if is_final || persist.is_some() {
                 let mut store_totals = baseline_store;
                 if let Some(sink) = persist.as_deref() {
                     store_totals.absorb(&sink.counters());
@@ -531,12 +538,10 @@ impl Fleet {
                     store_totals,
                     baseline_net,
                 );
-                snapshot_text = snap.to_text();
+                snapshot_text = Some(snap.to_text());
                 if let Some(sink) = persist.as_deref_mut() {
                     sink.on_checkpoint(&snap);
                 }
-            } else {
-                snapshots_skipped += 1;
             }
 
             if is_kill {
@@ -601,7 +606,9 @@ impl Fleet {
             stats,
             rounds_completed,
             clock_us,
-            snapshot: snapshot_text,
+            snapshot: snapshot_text.unwrap_or_else(|| {
+                resume.as_ref().map_or_else(String::new, FleetSnapshot::to_text)
+            }),
             finished: !killed && rounds_completed == total_rounds,
         }
     }

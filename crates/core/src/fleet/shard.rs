@@ -2,10 +2,13 @@
 //! to the hub — a pull cursor, the clock offset carried over a resume,
 //! and an [`EventBus`] handle for telemetry.
 //!
-//! Shard slices run on worker threads; everything that touches the hub
-//! ([`publish`](Shard::publish), [`pull`](Shard::pull)) runs on the
-//! orchestrator thread, sequentially in shard order, which is what makes
-//! a whole fleet campaign deterministic for a fixed seed.
+//! Shard slices run on worker threads. Everything that writes the hub
+//! ([`publish`](Shard::publish), applying a [`ShardUpdate`]) runs on the
+//! orchestrator thread, sequentially in shard order. What only reads it
+//! ([`pull`](Shard::pull), [`restore_from_hub`](Shard::restore_from_hub))
+//! runs on the worker threads again once the hub is complete for the
+//! round: each reads the hub and changes only its own shard. Together
+//! that makes a whole fleet campaign deterministic for a fixed seed.
 
 use super::events::{EventBus, FleetEvent};
 use super::hub::CorpusHub;

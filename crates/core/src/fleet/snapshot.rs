@@ -35,6 +35,7 @@ use droidfuzz_analysis::{CounterFamily, LintCounters};
 use fuzzlang::desc::DescTable;
 use simkernel::coverage::Block;
 use simkernel::report::{BugKind, Component};
+use std::fmt::Write as _;
 
 /// Snapshot format magic + version, the required first-line prefix.
 pub const SNAPSHOT_HEADER: &str = "# droidfuzz-fleet-snapshot v1";
@@ -201,21 +202,23 @@ impl FleetSnapshot {
     /// Serializes to snapshot text. `parse` → `to_text` is byte-identical
     /// for a clean snapshot.
     pub fn to_text(&self) -> String {
-        let mut out =
-            format!("{SNAPSHOT_HEADER} round={} clock_us={}\n", self.round, self.clock_us);
+        let mut out = String::with_capacity(
+            self.relations_text.len() + self.corpus_text.len() + 16 * self.coverage.len() + 512,
+        );
+        let _ = writeln!(out, "{SNAPSHOT_HEADER} round={} clock_us={}", self.round, self.clock_us);
         out.push_str("# section relations\n");
         out.push_str(&self.relations_text);
         out.push_str("# section coverage\n");
         for block in &self.coverage {
-            out.push_str(&format!("block {block:x}\n"));
+            let _ = writeln!(out, "block {block:x}");
         }
         out.push_str("# section series\n");
         for &(t, v) in &self.series {
-            out.push_str(&format!("sample {t} {v}\n"));
+            let _ = writeln!(out, "sample {t} {v}");
         }
         out.push_str("# section crashes\n");
         for crash in &self.crashes {
-            out.push_str(&format!("crash {}\n", crash_fields(crash)));
+            let _ = writeln!(out, "crash {}", crash_fields(crash));
         }
         for counters in self.counters() {
             counters.write_section(&mut out);

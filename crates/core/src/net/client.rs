@@ -34,7 +34,7 @@ use super::codec::{CampaignSpec, Message, WireShardStats, WireUpdate, PROTOCOL_V
 use super::transport::{Channel, Connector};
 use super::{NetCounters, NetError};
 use crate::engine::{FuzzingEngine, HOUR_US};
-use crate::fleet::{EventBus, FleetEvent, FleetStats, Shard, ShardUpdate};
+use crate::fleet::{on_workers, EventBus, FleetEvent, FleetStats, Shard};
 use crate::relation::RelationGraph;
 
 /// Worker knobs — everything else comes from the hub's campaign spec.
@@ -296,25 +296,11 @@ impl WorkerRuntime {
 
         // Boot engines on the worker pool, exactly like the local
         // orchestrator: global shard `g` gets engine seed `g + 1`.
-        let local_ids: Vec<usize> = (0..local).collect();
-        let engines: Vec<FuzzingEngine> = thread::scope(|scope| {
-            let handles: Vec<_> = local_ids
-                .chunks(chunk_len)
-                .map(|ids| {
-                    let spec = spec.clone();
-                    scope.spawn(move || {
-                        ids.iter()
-                            .map(|&i| {
-                                let g = (base_shard + i) as u64;
-                                let config =
-                                    campaign.engine_config(g + 1).expect("variant validated");
-                                FuzzingEngine::new(spec.clone().boot(), config)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("shard boot")).collect()
+        let mut local_ids: Vec<usize> = (0..local).collect();
+        let engines = on_workers(&mut local_ids, chunk_len, |&mut i| {
+            let g = (base_shard + i) as u64;
+            let config = campaign.engine_config(g + 1).expect("variant validated");
+            FuzzingEngine::new(spec.clone().boot(), config)
         });
         let mut shards: Vec<Shard> = engines
             .into_iter()
@@ -369,25 +355,13 @@ impl WorkerRuntime {
             // Fuzz the slice on contiguous chunks, one scoped thread
             // each; chunks join in order so updates come back in
             // shard-id order.
-            let updates: Vec<ShardUpdate> = thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .chunks_mut(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut updates = Vec::with_capacity(chunk.len());
-                            for shard in chunk {
-                                if shard.is_quarantined(round) {
-                                    shard.skip_slice(slice_us);
-                                } else {
-                                    shard.run_slice(global_target, round);
-                                }
-                                updates.push(shard.prepare_update());
-                            }
-                            updates
-                        })
-                    })
-                    .collect();
-                handles.into_iter().flat_map(|h| h.join().expect("shard worker")).collect()
+            let updates = on_workers(&mut shards, chunk_len, |shard| {
+                if shard.is_quarantined(round) {
+                    shard.skip_slice(slice_us);
+                } else {
+                    shard.run_slice(global_target, round);
+                }
+                shard.prepare_update()
             });
 
             // Push every shard's update; the hub applies them in global

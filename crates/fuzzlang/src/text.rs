@@ -43,82 +43,135 @@ fn err(line: usize, message: impl Into<String>) -> ParseProgError {
     ParseProgError { line, message: message.into() }
 }
 
-/// Serializes a program.
-pub fn format_prog(prog: &Prog, table: &DescTable) -> String {
-    let mut out = String::new();
+/// Lower-case hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `v` in lower-case hex without leading zeros (`0` for zero).
+fn push_hex_u64(out: &mut String, v: u64) {
+    let digits = (64 - (v | 1).leading_zeros()).div_ceil(4);
+    for shift in (0..digits).rev() {
+        out.push(char::from(HEX_DIGITS[((v >> (shift * 4)) & 0xf) as usize]));
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut String, mut n: usize) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(buf[start..].iter().map(|&b| char::from(b)));
+}
+
+/// Appends a quoted string literal, escaping `"`, `\\`, `\n`, `\r` and
+/// `\t`. Runs without an escape are copied as one slice; every escaped
+/// character is ASCII, so the byte scan never splits a UTF-8 sequence.
+fn push_string_literal(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escaped);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends the serialized form of `prog` to `out` — the allocation-free
+/// core of [`format_prog`], for writers that build one text from many
+/// programs.
+pub fn format_prog_into(prog: &Prog, table: &DescTable, out: &mut String) {
     for (i, call) in prog.calls.iter().enumerate() {
-        let desc = table.get(call.desc);
-        out.push_str(&format!("r{i} = {}(", desc.name));
+        out.push('r');
+        push_decimal(out, i);
+        out.push_str(" = ");
+        out.push_str(&table.get(call.desc).name);
+        out.push('(');
         for (j, arg) in call.args.iter().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
             match arg {
-                ArgValue::Int(v) => out.push_str(&format!("0x{v:x}")),
-                ArgValue::Ref(t) => out.push_str(&format!("r{t}")),
-                ArgValue::Str(s) => {
-                    out.push('"');
-                    for c in s.chars() {
-                        match c {
-                            '"' => out.push_str("\\\""),
-                            '\\' => out.push_str("\\\\"),
-                            '\n' => out.push_str("\\n"),
-                            '\r' => out.push_str("\\r"),
-                            '\t' => out.push_str("\\t"),
-                            c => out.push(c),
-                        }
-                    }
-                    out.push('"');
+                ArgValue::Int(v) => {
+                    out.push_str("0x");
+                    push_hex_u64(out, *v);
                 }
+                ArgValue::Ref(t) => {
+                    out.push('r');
+                    push_decimal(out, *t);
+                }
+                ArgValue::Str(s) => push_string_literal(out, s),
                 ArgValue::Bytes(b) => {
                     out.push_str("hex:");
-                    for byte in b {
-                        out.push_str(&format!("{byte:02x}"));
+                    out.reserve(2 * b.len());
+                    for &byte in b {
+                        out.push(char::from(HEX_DIGITS[usize::from(byte >> 4)]));
+                        out.push(char::from(HEX_DIGITS[usize::from(byte & 0xf)]));
                     }
                 }
             }
         }
         out.push_str(")\n");
     }
+}
+
+/// Serializes a program.
+pub fn format_prog(prog: &Prog, table: &DescTable) -> String {
+    let mut out = String::new();
+    format_prog_into(prog, table, &mut out);
     out
 }
 
 /// Splits a call's argument list on top-level commas (commas inside
-/// quoted strings don't count).
-fn split_args(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in s.chars() {
-        if in_str {
-            cur.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
+/// quoted strings don't count) into trimmed slices of `s`. A trailing
+/// empty argument is dropped; an empty one before a comma is kept (and
+/// rejected by [`parse_arg`]). The separators are ASCII, so scanning
+/// bytes never splits a UTF-8 sequence.
+fn split_args(s: &str) -> impl Iterator<Item = &str> {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    let mut done = false;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
         }
-        match c {
-            '"' => {
+        let mut in_str = false;
+        let mut escaped = false;
+        for (i, &b) in bytes.iter().enumerate().skip(start) {
+            if in_str {
+                if escaped {
+                    escaped = false;
+                } else if b == b'\\' {
+                    escaped = true;
+                } else if b == b'"' {
+                    in_str = false;
+                }
+            } else if b == b'"' {
                 in_str = true;
-                cur.push(c);
+            } else if b == b',' {
+                let part = s[start..i].trim();
+                start = i + 1;
+                return Some(part);
             }
-            ',' => {
-                parts.push(cur.trim().to_owned());
-                cur.clear();
-            }
-            c => cur.push(c),
         }
-    }
-    let last = cur.trim();
-    if !last.is_empty() {
-        parts.push(last.to_owned());
-    }
-    parts
+        done = true;
+        Some(s[start..].trim()).filter(|last| !last.is_empty())
+    })
 }
 
 fn parse_string_literal(line: usize, token: &str) -> Result<String, ParseProgError> {
@@ -126,7 +179,7 @@ fn parse_string_literal(line: usize, token: &str) -> Result<String, ParseProgErr
         .strip_prefix('"')
         .and_then(|t| t.strip_suffix('"'))
         .ok_or_else(|| err(line, format!("bad string literal {token}")))?;
-    let mut out = String::new();
+    let mut out = String::with_capacity(inner.len());
     let mut chars = inner.chars();
     while let Some(c) = chars.next() {
         if c == '\\' {
@@ -145,26 +198,54 @@ fn parse_string_literal(line: usize, token: &str) -> Result<String, ParseProgErr
     Ok(out)
 }
 
+/// `ParseIntError`'s message for a bad digit, kept for the digit errors
+/// the parser raises itself.
+const INVALID_DIGIT: &str = "invalid digit found in string";
+
+/// The value of every byte as a hex digit, `0xff` where it is none.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        values[HEX_DIGITS[i] as usize] = i as u8;
+        values[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    values
+};
+
 fn parse_arg(line: usize, token: &str) -> Result<ArgValue, ParseProgError> {
     if let Some(hexstr) = token.strip_prefix("0x") {
+        // `from_str_radix` would also take a leading `+`, which the
+        // formatter never writes.
+        if hexstr.starts_with('+') {
+            return Err(err(line, format!("bad int {token}: {INVALID_DIGIT}")));
+        }
         let v = u64::from_str_radix(hexstr, 16)
             .map_err(|e| err(line, format!("bad int {token}: {e}")))?;
         return Ok(ArgValue::Int(v));
     }
     if let Some(refstr) = token.strip_prefix('r') {
-        if let Ok(t) = refstr.parse::<usize>() {
-            return Ok(ArgValue::Ref(t));
+        if !refstr.starts_with('+') {
+            if let Ok(t) = refstr.parse::<usize>() {
+                return Ok(ArgValue::Ref(t));
+            }
         }
     }
     if let Some(hexstr) = token.strip_prefix("hex:") {
         if hexstr.len() % 2 != 0 {
             return Err(err(line, "odd-length hex blob"));
         }
+        // Decoded over bytes: a multi-byte character is two or more
+        // invalid digits, never a slice through a UTF-8 sequence.
         let mut bytes = Vec::with_capacity(hexstr.len() / 2);
-        for i in (0..hexstr.len()).step_by(2) {
-            let byte = u8::from_str_radix(&hexstr[i..i + 2], 16)
-                .map_err(|e| err(line, format!("bad hex blob: {e}")))?;
-            bytes.push(byte);
+        for pair in hexstr.as_bytes().chunks_exact(2) {
+            let hi = HEX_VALUES[usize::from(pair[0])];
+            let lo = HEX_VALUES[usize::from(pair[1])];
+            if (hi | lo) > 0xf {
+                return Err(err(line, format!("bad hex blob: {INVALID_DIGIT}")));
+            }
+            bytes.push(hi << 4 | lo);
         }
         return Ok(ArgValue::Bytes(bytes));
     }
@@ -183,6 +264,8 @@ fn parse_arg(line: usize, token: &str) -> Result<ArgValue, ParseProgError> {
 /// types — callers should run [`Prog::validate`].
 pub fn parse_prog(text: &str, table: &DescTable) -> Result<Prog, ParseProgError> {
     let mut prog = Prog::new();
+    // The label each line must carry, rebuilt in place per call.
+    let mut expected = String::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
         let trimmed = raw.trim();
@@ -193,7 +276,9 @@ pub fn parse_prog(text: &str, table: &DescTable) -> Result<Prog, ParseProgError>
             .split_once('=')
             .ok_or_else(|| err(line, "missing `=`"))?;
         let label = label.trim();
-        let expected = format!("r{}", prog.calls.len());
+        expected.clear();
+        expected.push('r');
+        push_decimal(&mut expected, prog.calls.len());
         if label != expected {
             return Err(err(line, format!("expected label {expected}, got {label}")));
         }
@@ -208,9 +293,9 @@ pub fn parse_prog(text: &str, table: &DescTable) -> Result<Prog, ParseProgError>
         let desc_id = table
             .id_of(name)
             .ok_or_else(|| err(line, format!("unknown call {name}")))?;
-        let mut args = Vec::new();
+        let mut args = Vec::with_capacity(table.get(desc_id).args.len());
         for token in split_args(args_str) {
-            args.push(parse_arg(line, &token)?);
+            args.push(parse_arg(line, token)?);
         }
         prog.calls.push(Call { desc: desc_id, args });
     }
@@ -313,6 +398,62 @@ mod tests {
         for bad in ["r0 = )junk(", "r0 = )(", "r0 = x)y(z", "r0 = ="] {
             assert!(parse_prog(bad, &t).is_err(), "{bad:?} must be a parse error");
         }
+    }
+
+    #[test]
+    fn multibyte_characters_in_hex_blobs_are_errors() {
+        let t = table();
+        // `é` straddles the second digit pair: slicing the blob per pair
+        // used to panic on a non-char boundary.
+        for bad in ["hex:aéb", "hex:é00", "hex:0\u{fffd}00", "hex:🦀"] {
+            let text = format!("r0 = hal$ISvc$method(\"a\", {bad})\n");
+            let e = parse_prog(&text, &t).unwrap_err();
+            assert_eq!(e.message, "bad hex blob: invalid digit found in string", "{bad}");
+        }
+    }
+
+    #[test]
+    fn signed_numbers_are_rejected() {
+        let t = table();
+        let parse = |args: &str| parse_prog(&format!("r0 = openat$/dev/x()\nr1 = ioctl$X({args})\n"), &t);
+        assert!(parse("r0, 0x5").is_ok());
+        assert_eq!(parse("r0, 0x+5").unwrap_err().message, "bad int 0x+5: invalid digit found in string");
+        assert_eq!(parse("r+0, 0x5").unwrap_err().message, "unrecognized argument r+0");
+        let blob = |hex: &str| {
+            parse_prog(&format!("r0 = hal$ISvc$method(\"a\", hex:{hex})\n"), &t)
+        };
+        assert!(blob("0f").is_ok());
+        assert_eq!(blob("+f").unwrap_err().message, "bad hex blob: invalid digit found in string");
+        assert_eq!(blob("00+f").unwrap_err().message, "bad hex blob: invalid digit found in string");
+    }
+
+    #[test]
+    fn formatter_writes_minimal_lowercase_hex_and_decimal_labels() {
+        let mut t = DescTable::new();
+        t.add(CallDesc::new(
+            "f",
+            CallKind::Syscall(SyscallTemplate::Write),
+            vec![
+                ArgDesc::new("a", TypeDesc::any_u32()),
+                ArgDesc::new("b", TypeDesc::Buffer { min_len: 0, max_len: 8 }),
+            ],
+            None,
+        ));
+        let call = |args| Call { desc: DescId(0), args };
+        let mut prog = Prog::new();
+        for v in [0, 1, 0xf, 0x10, 0xdead_beef, u64::MAX] {
+            prog.calls.push(call(vec![ArgValue::Int(v), ArgValue::Bytes(vec![0, 0x0a, 0xff])]));
+        }
+        prog.calls.push(call(vec![ArgValue::Ref(usize::MAX), ArgValue::Bytes(vec![])]));
+        let text = format_prog(&prog, &t);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "r0 = f(0x0, hex:000aff)");
+        assert_eq!(lines[4], "r4 = f(0xdeadbeef, hex:000aff)");
+        assert_eq!(lines[5], "r5 = f(0xffffffffffffffff, hex:000aff)");
+        assert_eq!(lines[6], format!("r6 = f(r{}, hex:)", usize::MAX));
+        let mut appended = String::from("keep\n");
+        format_prog_into(&prog, &t, &mut appended);
+        assert_eq!(appended, format!("keep\n{text}"));
     }
 
     #[test]

@@ -22,8 +22,11 @@ use droidfuzz_repro::droidfuzz::supervisor::FaultCounters;
 use droidfuzz_repro::droidfuzz_analysis::{
     audit_relations, audit_snapshot, CounterRecord, LintCounters,
 };
-use droidfuzz_repro::fuzzlang::desc::{CallDesc, DescId, DescTable};
+use droidfuzz_repro::fuzzlang::desc::{
+    ArgDesc, CallDesc, CallKind, DescId, DescTable, SyscallTemplate,
+};
 use droidfuzz_repro::fuzzlang::text::{format_prog, parse_prog};
+use droidfuzz_repro::fuzzlang::types::TypeDesc;
 use droidfuzz_repro::simkernel::report::{BugKind, Component};
 use proptest::prelude::*;
 
@@ -32,6 +35,15 @@ fn table() -> DescTable {
     t.add(CallDesc::syscall_open("/dev/video0"));
     t.add(CallDesc::syscall_close());
     t.add(CallDesc::syscall_open("/dev/ion"));
+    t.add(CallDesc::new(
+        "write$/dev/ion",
+        CallKind::Syscall(SyscallTemplate::Write),
+        vec![
+            ArgDesc::new("fd", TypeDesc::Resource { kind: "fd:/dev/ion".into() }),
+            ArgDesc::new("buf", TypeDesc::Buffer { min_len: 0, max_len: 16 }),
+        ],
+        None,
+    ));
     t
 }
 
@@ -124,6 +136,9 @@ fn valid_encodings() -> &'static [Vec<u8>] {
             snapshot.corpus_text.clone().into_bytes(),
             learned_graph(&table).export(&table).into_bytes(),
             "r0 = openat$/dev/video0()\nr1 = openat$/dev/ion()\nclose(r1)\nclose(r0)\n".into(),
+            // A blob: a mutated byte at or above 0x80 decodes to a
+            // multi-byte character inside the hex digits.
+            "r0 = openat$/dev/ion()\nr1 = write$/dev/ion(r0, hex:00ff12ab)\nr2 = close(r0)\n".into(),
         ];
         samples.push(medium.read(&journal_name(0)).unwrap());
         samples.extend(deltas.iter().map(|d| d.encode().into_bytes()));

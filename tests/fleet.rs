@@ -33,6 +33,17 @@ fn fingerprint(result: &FleetResult) -> (usize, u64, Vec<u64>, Vec<Vec<String>>,
     )
 }
 
+/// Seeds pulled and published, snapshots skipped, and each shard's seeds
+/// restored from the hub at start.
+fn sync_counters(result: &FleetResult) -> (usize, usize, u64, Vec<usize>) {
+    (
+        result.stats.seeds_pulled,
+        result.stats.seeds_published,
+        result.stats.snapshots_skipped,
+        result.stats.shards.iter().map(|s| s.restored_seeds).collect(),
+    )
+}
+
 /// A fixed `(seed, shard count)` must give identical final coverage,
 /// crash titles, and snapshot text across two runs — worker threads only
 /// touch their own shard and all hub traffic is sequenced in shard order,
@@ -255,24 +266,43 @@ fn mid_batch_faults_match_per_program_taxonomy() {
 }
 
 proptest! {
-    /// Sequential/parallel equivalence over random seeds and worker
-    /// counts: for any base seed and any `threads in 2..=8`, the final
-    /// snapshot and crash sets match the `threads: 1` run byte for byte.
+    /// Sequential/parallel equivalence over random seeds, worker counts
+    /// and checkpoint cadences: for any base seed, any `threads in 2..=8`
+    /// and a cadence of 1 or 3 rounds, the final snapshot, crash sets and
+    /// sync counters match the `threads: 1` run byte for byte — for a
+    /// fresh four-round campaign and for one more round resumed from its
+    /// snapshot, which restores every shard from the hub on the pool.
     #[test]
-    fn any_worker_count_matches_sequential(seed in 0u64..4096, threads in 2u64..9) {
+    fn any_worker_count_matches_sequential(
+        seed in 0u64..4096,
+        threads in 2u64..9,
+        cadence_three in any::<bool>(),
+    ) {
         let spec = catalog::device_a1();
-        let config = |threads| FleetConfig {
+        let config = |threads, hours| FleetConfig {
             shards: 3,
-            hours: 0.06,
-            sync_interval_hours: 0.03,
+            hours,
+            sync_interval_hours: 0.015,
+            checkpoint_interval_rounds: if cadence_three { 3 } else { 1 },
             threads,
             ..quick_config(true, None)
         };
         let mk = move |lane: u64| FuzzerConfig::droidfuzz(lane.wrapping_add(seed));
-        let sequential = Fleet::new(config(1)).run(&spec, mk);
-        let parallel = Fleet::new(config(threads as usize)).run(&spec, mk);
-        prop_assert_eq!(fingerprint(&sequential), fingerprint(&parallel));
-        prop_assert_eq!(sequential.executions, parallel.executions);
+        let run = |threads| {
+            let fresh = Fleet::new(config(threads, 0.06)).run(&spec, mk);
+            let resumed = Fleet::new(config(threads, 0.075))
+                .resume(&spec, mk, &fresh.snapshot)
+                .expect("snapshot parses");
+            [fresh, resumed]
+        };
+        let sequential = run(1);
+        let parallel = run(threads as usize);
+        prop_assert!(sync_counters(&sequential[1]).3.iter().sum::<usize>() > 0);
+        for (s, p) in sequential.iter().zip(&parallel) {
+            prop_assert_eq!(fingerprint(s), fingerprint(p));
+            prop_assert_eq!(s.executions, p.executions);
+            prop_assert_eq!(sync_counters(s), sync_counters(p));
+        }
     }
 
     /// Batch-size equivalence over random seeds, batch sizes, worker
