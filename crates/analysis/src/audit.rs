@@ -16,14 +16,14 @@
 //!   between decays; the next decay prunes it) are flagged without being
 //!   errors.
 //! * **Corpus** — every seed record parses and its program passes
-//!   [`lint_prog`]; damaged headers and empty records are warnings, the
+//!   [`check_prog`]; damaged headers and empty records are warnings, the
 //!   same lines `Corpus::import` would skip.
 //! * **Fleet snapshot** — the section framing itself, plus the nested
 //!   relations and corpus audits.
 
+use crate::check::check_prog;
 use crate::counters;
 use crate::diag::{Report, Severity};
-use crate::lint::lint_prog;
 use fuzzlang::desc::DescTable;
 use fuzzlang::text::parse_prog;
 use std::collections::{BTreeMap, BTreeSet};
@@ -209,7 +209,7 @@ pub fn audit_corpus(text: &str, table: &DescTable) -> Report {
         }
         match parse_prog(&body, table) {
             Ok(prog) => {
-                for d in lint_prog(&prog, table).diagnostics {
+                for d in check_prog(&prog, table, None).report.diagnostics {
                     report.push(d.severity, d.code, d.call, format!("seed record {i}: {}", d.message));
                 }
             }

@@ -8,7 +8,10 @@
 //! or weighted sampling silently degrades. This crate is the pass that
 //! checks all of that *before* execution:
 //!
-//! * [`lint`] — a typed def-use / resource-lifetime linter over
+//! * [`check`] — the one pass over a program ([`check_prog`]: the lint
+//!   and, given state models, the abstract interpreter, call by call)
+//!   and the one gate behind it ([`gate_prog`], [`gate_prog_static`]).
+//! * [`lint`] — the typed def-use / resource-lifetime rules over
 //!   [`fuzzlang::prog::Prog`]: structural defects (dangling or forward
 //!   references, wrong producer kinds, argument-class mismatches) are
 //!   [`Severity::Error`]s; semantic drift (out-of-range ints, unknown
@@ -31,13 +34,13 @@
 //!   `model-nondeterministic`), and the `produces`/`consumes` cross-driver
 //!   pairs used to seed the relation graph before the first execution.
 //! * [`absint`] — a flow-sensitive abstract interpreter that runs
-//!   programs over those models: per-call *definitely-fires* /
-//!   *provably-fails* verdicts (`absint-dead-call`,
+//!   programs over those models inside [`check_prog`]: per-call
+//!   *definitely-fires* / *provably-fails* verdicts (`absint-dead-call`,
 //!   `absint-guard-violation`, `absint-consume-before-produce`,
 //!   `absint-dead-prog`), a static depth score the corpus uses as seed
 //!   energy, and a deterministic prerequisite-insertion repair
-//!   ([`absint::repair_prereqs`]) behind the reachability gate
-//!   ([`absint::gate_prog_static`]).
+//!   ([`repair_prereqs`]) behind the reachability half of
+//!   [`gate_prog_static`].
 //! * [`counters`] — the counter table: the fault, lint, store and net
 //!   counter families, each declared once with its section name, line
 //!   keyword and keys, plus the snapshot, journal and wire text forms
@@ -49,19 +52,20 @@
 
 pub mod absint;
 pub mod audit;
+pub mod check;
 pub mod counters;
 pub mod diag;
 pub mod lint;
 pub mod model;
 pub mod repair;
 
-pub use absint::{absint_prog, gate_prog_static, repair_prereqs, static_depth, AbsintResult};
+pub use absint::repair_prereqs;
 pub use audit::{audit_corpus, audit_relations, audit_snapshot};
+pub use check::{check_prog, gate_prog, gate_prog_static, Check};
 pub use counters::{
     CounterFamily, CounterRecord, CounterTable, FaultCounters, LintCounters, NetCounters,
     StoreCounters,
 };
 pub use diag::{Diagnostic, Report, Severity};
-pub use lint::lint_prog;
 pub use model::{ModelEntry, ModelSet};
-pub use repair::{gate_prog, repair_prog};
+pub use repair::repair_prog;

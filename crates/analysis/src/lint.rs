@@ -1,5 +1,6 @@
 //! The program linter: typed def-use / resource-lifetime analysis plus
-//! semantic lints against the description table.
+//! semantic lints against the description table. It runs inside
+//! [`crate::check::check_prog`], one call at a time.
 //!
 //! Severity policy (see [`Severity`]):
 //!
@@ -23,18 +24,30 @@ use fuzzlang::prog::{ArgValue, Prog};
 use fuzzlang::types::TypeDesc;
 use std::collections::HashMap;
 
-/// Lints one program against `table`. Never panics, whatever the program
-/// holds — corrupt imports are exactly what the pass exists to catch.
-pub fn lint_prog(prog: &Prog, table: &DescTable) -> Report {
-    let mut report = Report::new();
-    let n = prog.calls.len();
-    // Producer index → index of the call that closed it first.
-    let mut closed_at: HashMap<usize, usize> = HashMap::new();
-    // Defensive "is referenced" map (unlike `Prog::unreferenced`, out of
-    // range references must not panic here).
-    let mut referenced = vec![false; n];
+/// The lint half of [`crate::check::check_prog`]: the walk feeds it one
+/// call at a time, then [`finish`](Self::finish) adds the findings that
+/// need the whole program. Never panics, whatever the program holds —
+/// corrupt imports are exactly what the pass exists to catch.
+pub(crate) struct Lint {
+    report: Report,
+    /// Producer index → index of the call that closed it first.
+    closed_at: HashMap<usize, usize>,
+    /// Defensive "is referenced" map (unlike `Prog::unreferenced`, out of
+    /// range references must not panic here).
+    referenced: Vec<bool>,
+}
 
-    for (i, call) in prog.calls.iter().enumerate() {
+impl Lint {
+    pub(crate) fn new(n: usize) -> Self {
+        Self { report: Report::new(), closed_at: HashMap::new(), referenced: vec![false; n] }
+    }
+
+    /// Lints call `i` of `prog`.
+    pub(crate) fn step(&mut self, prog: &Prog, table: &DescTable, i: usize) {
+        let Self { report, closed_at, referenced } = self;
+        let n = prog.calls.len();
+        let call = &prog.calls[i];
+        let mut push = |severity, code, message: String| report.push(severity, code, Some(i), message);
         for arg in &call.args {
             if let ArgValue::Ref(t) = arg {
                 if let Some(slot) = referenced.get_mut(*t) {
@@ -43,40 +56,36 @@ pub fn lint_prog(prog: &Prog, table: &DescTable) -> Report {
             }
         }
         if call.desc.0 >= table.len() {
-            report.push(
+            push(
                 Severity::Error,
                 "unknown-desc",
-                Some(i),
                 format!("description id {} is outside the table ({} entries)", call.desc.0, table.len()),
             );
-            continue;
+            return;
         }
         let desc = table.get(call.desc);
         if call.args.len() != desc.args.len() {
-            report.push(
+            push(
                 Severity::Error,
                 "arg-count",
-                Some(i),
                 format!("{} takes {} args, got {}", desc.name, desc.args.len(), call.args.len()),
             );
-            continue;
+            return;
         }
         let is_close = matches!(desc.kind, CallKind::Syscall(SyscallTemplate::Close));
         for (a, (value, arg_desc)) in call.args.iter().zip(&desc.args).enumerate() {
             match (&arg_desc.ty, value) {
                 (TypeDesc::Resource { kind }, ArgValue::Ref(t)) => {
                     if *t >= n {
-                        report.push(
+                        push(
                             Severity::Error,
                             "dangling-ref",
-                            Some(i),
                             format!("{} arg {a} references r{t}, past the end of the program", desc.name),
                         );
                     } else if *t >= i {
-                        report.push(
+                        push(
                             Severity::Error,
                             "forward-ref",
-                            Some(i),
                             format!("{} arg {a} references r{t}, which does not precede it", desc.name),
                         );
                     } else {
@@ -85,10 +94,9 @@ pub fn lint_prog(prog: &Prog, table: &DescTable) -> Report {
                             .then(|| table.get(target.desc).produces.as_ref())
                             .flatten();
                         if !produces.is_some_and(|p| kind.accepts(p)) {
-                            report.push(
+                            push(
                                 Severity::Error,
                                 "bad-producer",
-                                Some(i),
                                 format!("{} arg {a} wants {kind}, but r{t} does not produce it", desc.name),
                             );
                         } else if let Some(&closer) = closed_at.get(t) {
@@ -97,47 +105,42 @@ pub fn lint_prog(prog: &Prog, table: &DescTable) -> Report {
                             } else {
                                 ("use-after-close", "uses")
                             };
-                            report.push(
+                            push(
                                 Severity::Warning,
                                 code,
-                                Some(i),
                                 format!("{} {what} r{t}, already closed by call {closer}", desc.name),
                             );
                         }
                     }
                 }
                 (TypeDesc::Resource { kind }, other) => {
-                    report.push(
+                    push(
                         Severity::Error,
                         "not-a-ref",
-                        Some(i),
                         format!("{} arg {a} wants a {kind} reference, got {}", desc.name, class_of(other)),
                     );
                 }
                 (_, ArgValue::Ref(t)) => {
-                    report.push(
+                    push(
                         Severity::Error,
                         "value-class",
-                        Some(i),
                         format!("{} arg {a} is not a resource slot but holds a reference to r{t}", desc.name),
                     );
                 }
                 (TypeDesc::Int { min, max }, ArgValue::Int(v)) => {
                     if v < min || v > max {
-                        report.push(
+                        push(
                             Severity::Warning,
                             "int-out-of-range",
-                            Some(i),
                             format!("{} arg {a}: {v:#x} outside [{min:#x}, {max:#x}]", desc.name),
                         );
                     }
                 }
                 (TypeDesc::Choice { values }, ArgValue::Int(v)) => {
                     if !values.contains(v) {
-                        report.push(
+                        push(
                             Severity::Warning,
                             "not-in-choice",
-                            Some(i),
                             format!("{} arg {a}: {v:#x} is not a described choice", desc.name),
                         );
                     }
@@ -145,39 +148,35 @@ pub fn lint_prog(prog: &Prog, table: &DescTable) -> Report {
                 (TypeDesc::Flags { values }, ArgValue::Int(v)) => {
                     let union: u64 = values.iter().fold(0, |acc, f| acc | f);
                     if v & !union != 0 {
-                        report.push(
+                        push(
                             Severity::Warning,
                             "bad-flag-bits",
-                            Some(i),
                             format!("{} arg {a}: {v:#x} sets bits outside the flag set {union:#x}", desc.name),
                         );
                     }
                 }
                 (TypeDesc::Buffer { min_len, max_len }, ArgValue::Bytes(b)) => {
                     if b.len() < *min_len || b.len() > *max_len {
-                        report.push(
+                        push(
                             Severity::Warning,
                             "buffer-len",
-                            Some(i),
                             format!("{} arg {a}: {} bytes outside [{min_len}, {max_len}]", desc.name, b.len()),
                         );
                     }
                 }
                 (TypeDesc::Str { choices }, ArgValue::Str(s)) => {
                     if !choices.is_empty() && !choices.contains(s) {
-                        report.push(
+                        push(
                             Severity::Warning,
                             "str-not-in-choices",
-                            Some(i),
                             format!("{} arg {a}: string is not a described choice", desc.name),
                         );
                     }
                 }
                 (ty, value) => {
-                    report.push(
+                    push(
                         Severity::Error,
                         "value-class",
-                        Some(i),
                         format!("{} arg {a} described as {}, got {}", desc.name, class_of_ty(ty), class_of(value)),
                     );
                 }
@@ -204,10 +203,9 @@ pub fn lint_prog(prog: &Prog, table: &DescTable) -> Report {
                         if u64::from(*r) == request)
                 });
                 if let Some((_, spec)) = specialized {
-                    report.push(
+                    push(
                         Severity::Info,
                         "ioctl-specializable",
-                        Some(i),
                         format!("{} sends request {request:#x}, which {} describes with types", desc.name, spec.name),
                     );
                 }
@@ -215,22 +213,25 @@ pub fn lint_prog(prog: &Prog, table: &DescTable) -> Report {
         }
     }
 
-    // Dead calls: producers whose result nothing ever consumes.
-    for (i, call) in prog.calls.iter().enumerate() {
-        if referenced[i] || call.desc.0 >= table.len() {
-            continue;
+    /// Adds the whole-program findings — dead producer calls whose result
+    /// nothing ever consumes — and returns the report.
+    pub(crate) fn finish(mut self, prog: &Prog, table: &DescTable) -> Report {
+        for (i, call) in prog.calls.iter().enumerate() {
+            if self.referenced[i] || call.desc.0 >= table.len() {
+                continue;
+            }
+            let desc = table.get(call.desc);
+            if desc.produces.is_some() {
+                self.report.push(
+                    Severity::Info,
+                    "dead-call",
+                    Some(i),
+                    format!("{} produces a resource no later call consumes", desc.name),
+                );
+            }
         }
-        let desc = table.get(call.desc);
-        if desc.produces.is_some() {
-            report.push(
-                Severity::Info,
-                "dead-call",
-                Some(i),
-                format!("{} produces a resource no later call consumes", desc.name),
-            );
-        }
+        self.report
     }
-    report
 }
 
 fn class_of(value: &ArgValue) -> &'static str {
@@ -254,7 +255,12 @@ fn class_of_ty(ty: &TypeDesc) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check_prog;
     use fuzzlang::desc::{ArgDesc, CallDesc, DescId};
+
+    fn lint(prog: &Prog, table: &DescTable) -> Report {
+        check_prog(prog, table, None).report
+    }
     use fuzzlang::prog::Call;
 
     fn table() -> DescTable {
@@ -309,7 +315,7 @@ mod tests {
                 call(1, vec![ArgValue::Ref(0)]),
             ],
         };
-        let report = lint_prog(&p, &t);
+        let report = lint(&p, &t);
         assert!(report.is_clean(), "{:?}", report.diagnostics);
     }
 
@@ -326,7 +332,7 @@ mod tests {
                 call(1, vec![ArgValue::Ref(1)]),                 // bad producer (open w/ bad argc is target: still produces — use call 4 instead)
             ],
         };
-        let report = lint_prog(&p, &t);
+        let report = lint(&p, &t);
         let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
         for code in ["unknown-desc", "arg-count", "dangling-ref", "forward-ref", "not-a-ref"] {
             assert!(codes.contains(&code), "missing {code} in {codes:?}");
@@ -349,7 +355,7 @@ mod tests {
                 }),
             ],
         };
-        let report = lint_prog(&p, &t);
+        let report = lint(&p, &t);
         let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"bad-producer"), "{codes:?}");
         assert!(codes.contains(&"value-class"), "{codes:?}");
@@ -366,7 +372,7 @@ mod tests {
                 call(1, vec![ArgValue::Ref(0)]), // double close
             ],
         };
-        let report = lint_prog(&p, &t);
+        let report = lint(&p, &t);
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
         let codes: Vec<&str> = report
             .diagnostics
@@ -396,7 +402,7 @@ mod tests {
                 call(1, vec![ArgValue::Ref(0)]),
             ],
         };
-        let report = lint_prog(&p, &t);
+        let report = lint(&p, &t);
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
         let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
         assert_eq!(codes, vec!["not-in-choice", "bad-flag-bits", "int-out-of-range", "buffer-len"]);
@@ -412,7 +418,7 @@ mod tests {
                 call(3, vec![ArgValue::Ref(1), ArgValue::Int(0x7)]), // request 7 has a typed desc
             ],
         };
-        let report = lint_prog(&p, &t);
+        let report = lint(&p, &t);
         assert_eq!(report.max_severity(), Some(Severity::Info));
         let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"ioctl-specializable"), "{codes:?}");
@@ -427,7 +433,7 @@ mod tests {
         let mut args = good_ioctl_args();
         args[4] = ArgValue::Str("x".into()); // Buffer slot holds a string
         let p = Prog { calls: vec![call(0, vec![]), call(2, args)] };
-        let report = lint_prog(&p, &t);
+        let report = lint(&p, &t);
         assert!(report.has_errors());
         assert_eq!(report.diagnostics[0].code, "value-class");
     }

@@ -24,8 +24,6 @@
 //! Warnings are left alone on purpose: an out-of-range integer is an
 //! interesting input, not a defect.
 
-use crate::counters::LintCounters;
-use crate::lint::lint_prog;
 use fuzzlang::desc::{DescId, DescTable};
 use fuzzlang::prog::{ArgValue, Call, Prog};
 use fuzzlang::types::{ResourceKind, TypeDesc};
@@ -82,26 +80,6 @@ pub fn repair_prog(prog: &Prog, table: &DescTable) -> Option<Prog> {
         }
     }
     (!out.calls.is_empty()).then_some(out)
-}
-
-/// Lints `prog` and, on errors, repairs it in place. Returns whether the
-/// program may proceed to execution; `counters` records the outcome
-/// (`repaired` when the rewrite cleared every error, `rejected` when the
-/// program had to be discarded). Clean programs pass through untouched
-/// and uncounted.
-pub fn gate_prog(prog: &mut Prog, table: &DescTable, counters: &mut LintCounters) -> bool {
-    if !lint_prog(prog, table).has_errors() {
-        return true;
-    }
-    if let Some(fixed) = repair_prog(prog, table) {
-        if !lint_prog(&fixed, table).has_errors() {
-            *prog = fixed;
-            counters.repaired += 1;
-            return true;
-        }
-    }
-    counters.rejected += 1;
-    false
 }
 
 /// Whether rebuilt call `t` produces a resource accepted as `kind`.
@@ -172,7 +150,14 @@ fn conform_value(ty: &TypeDesc, existing: Option<&ArgValue>) -> ArgValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check_prog, gate_prog};
+    use crate::counters::LintCounters;
+    use crate::diag::Report;
     use fuzzlang::desc::{ArgDesc, CallDesc, CallKind, SyscallTemplate};
+
+    fn lint(prog: &Prog, table: &DescTable) -> Report {
+        check_prog(prog, table, None).report
+    }
 
     fn table() -> DescTable {
         let mut t = DescTable::new();
@@ -207,7 +192,7 @@ mod tests {
             ],
         };
         let fixed = repair_prog(&p, &t).expect("repairable");
-        assert!(!lint_prog(&fixed, &t).has_errors());
+        assert!(!lint(&fixed, &t).has_errors());
         assert_eq!(fixed.calls[2].args[0], ArgValue::Ref(1), "nearest earlier producer wins");
     }
 
@@ -216,7 +201,7 @@ mod tests {
         let t = table();
         let p = Prog { calls: vec![call(3, vec![ArgValue::Ref(0), ArgValue::Int(2)])] };
         let fixed = repair_prog(&p, &t).expect("repairable");
-        assert!(!lint_prog(&fixed, &t).has_errors());
+        assert!(!lint(&fixed, &t).has_errors());
         assert_eq!(fixed.calls.len(), 2);
         assert_eq!(fixed.calls[0].desc, DescId(2), "leaf producer (open), not dup");
         assert_eq!(fixed.calls[1].args[0], ArgValue::Ref(0));
@@ -244,7 +229,7 @@ mod tests {
             ],
         };
         let fixed = repair_prog(&p, &t).expect("repairable");
-        assert!(!lint_prog(&fixed, &t).has_errors());
+        assert!(!lint(&fixed, &t).has_errors());
         assert_eq!(fixed.calls.len(), 2);
         assert_eq!(fixed.calls[1].args[0], ArgValue::Ref(0), "re-pointed at the surviving open");
     }
@@ -259,7 +244,7 @@ mod tests {
             ],
         };
         let fixed = repair_prog(&p, &t).expect("repairable");
-        assert!(!lint_prog(&fixed, &t).has_errors());
+        assert!(!lint(&fixed, &t).has_errors());
         assert!(fixed.calls[0].args.is_empty());
         assert_eq!(fixed.calls[1].args[1], ArgValue::Int(2), "first described choice");
     }
@@ -276,7 +261,7 @@ mod tests {
             ],
         };
         let fixed = repair_prog(&p, &t).expect("repairable");
-        let report = lint_prog(&fixed, &t);
+        let report = lint(&fixed, &t);
         assert!(!report.has_errors());
         assert_eq!(fixed.calls[1].args[1], ArgValue::Int(99), "warning value untouched");
         assert!(report.diagnostics.iter().any(|d| d.code == "not-in-choice"));
@@ -294,7 +279,7 @@ mod tests {
         let mut broken = Prog { calls: vec![call(3, vec![ArgValue::Ref(9), ArgValue::Int(2)])] };
         assert!(gate_prog(&mut broken, &t, &mut counters));
         assert_eq!(counters.repaired, 1);
-        assert!(!lint_prog(&broken, &t).has_errors());
+        assert!(!lint(&broken, &t).has_errors());
         // Unrepairable program.
         let mut hopeless = Prog { calls: vec![call(42, vec![])] };
         assert!(!gate_prog(&mut hopeless, &t, &mut counters));

@@ -1,8 +1,9 @@
-//! Lint-gate benchmark: raw linter throughput over generated programs,
-//! gate throughput (lint + repair on deliberately broken inputs), the
-//! end-to-end overhead the gate adds to a fleet campaign (same campaign,
-//! gate on vs off), the abstract-interpretation overhead on top of the
-//! flow-insensitive lint, and the static-prior warmup race (DroidFuzz-S
+//! Lint-gate benchmark: throughput of the static check without models
+//! (the lint) over generated programs, gate throughput (lint + repair on
+//! deliberately broken inputs), the end-to-end overhead the gate adds to
+//! a fleet campaign (same campaign, gate on vs off), the cost of checking
+//! with the state models (lint + abstract interpretation in one pass)
+//! against the lint alone, and the static-prior warmup race (DroidFuzz-S
 //! vs cold-start executions-to-first-deep-state).
 //!
 //! Scale: `DF_PROGS` (programs for the throughput phases, default 20000),
@@ -14,9 +15,7 @@
 //! run emits three machine-readable JSON lines: `"bench":"lint_overhead"`,
 //! `"bench":"absint_overhead"`, and `"bench":"static_prior_warmup"`.
 
-use droidfuzz::analysis::{
-    absint_prog, gate_prog, gate_prog_static, lint_prog, static_depth, LintCounters, ModelSet,
-};
+use droidfuzz::analysis::{check_prog, gate_prog, gate_prog_static, LintCounters, ModelSet};
 use droidfuzz::config::FuzzerConfig;
 use droidfuzz::engine::FuzzingEngine;
 use droidfuzz::fleet::{Fleet, FleetConfig};
@@ -65,11 +64,12 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0x11A7);
     let inputs: Vec<Prog> = (0..progs).map(|_| generate(table, 12, &mut rng)).collect();
 
-    // Phase 1: raw lint throughput on healthy generator output.
+    // Phase 1: raw lint throughput (the check without models) on healthy
+    // generator output.
     let start = Instant::now();
     let mut findings = 0usize;
     for prog in &inputs {
-        findings += lint_prog(prog, table).diagnostics.len();
+        findings += check_prog(prog, table, None).report.diagnostics.len();
     }
     let lint_secs = start.elapsed().as_secs_f64();
     let lint_rate = progs as f64 / lint_secs.max(1e-9);
@@ -136,17 +136,19 @@ fn main() {
         ungated.executions,
     );
 
-    // Phase 4: abstract-interpretation overhead — absint_prog and the
-    // full static gate (absint + prerequisite repair) over the same
-    // healthy inputs the raw linter saw, so the two rates are comparable.
+    // Phase 4: abstract-interpretation overhead — the check with models
+    // (lint + absint in one pass) and the full DroidFuzz-S gate (plus
+    // prerequisite repair) over the same healthy inputs the raw linter
+    // saw, so the rates are comparable.
     let models = ModelSet::for_kernel(engine.device().kernel_ref());
     let start = Instant::now();
     let mut depth_sum = 0u64;
     let mut flagged = 0usize;
     for prog in &inputs {
-        let result = absint_prog(prog, table, &models);
-        depth_sum += u64::from(result.depth);
-        flagged += usize::from(!result.report.is_clean());
+        let check = check_prog(prog, table, Some(&models));
+        depth_sum += u64::from(check.depth);
+        // Flagged by the interpreter, as distinct from the lint findings.
+        flagged += usize::from(check.report.diagnostics.iter().any(|d| d.code.starts_with("absint-")));
     }
     let absint_secs = start.elapsed().as_secs_f64();
     let absint_rate = progs as f64 / absint_secs.max(1e-9);
@@ -206,7 +208,7 @@ fn main() {
                         .corpus()
                         .seeds()
                         .iter()
-                        .map(|s| static_depth(&s.prog, engine.desc_table(), &scorer))
+                        .map(|s| check_prog(&s.prog, engine.desc_table(), Some(&scorer)).depth)
                         .max()
                         .unwrap_or(0);
                     if best >= deep {

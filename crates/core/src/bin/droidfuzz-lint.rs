@@ -29,10 +29,10 @@
 //!   program lint);
 //! - anything else → a single fuzzlang program, parsed then linted.
 //!
-//! Single programs additionally run through the flow-sensitive abstract
-//! interpreter against the device's driver state models, so `absint-*`
-//! findings (dead calls, guard violations, statically-dead programs)
-//! appear alongside the flow-insensitive lint. `--model <driver>` skips
+//! Single programs are checked with the device's driver state models, so
+//! the flow-sensitive abstract interpreter's `absint-*` findings (dead
+//! calls, guard violations, statically-dead programs) follow the
+//! flow-insensitive lint's in the same report. `--model <driver>` skips
 //! file auditing entirely and prints the named driver's state model plus
 //! its audit findings (`<driver>` is a model label, `/dev` node path, or
 //! node basename).
@@ -46,9 +46,7 @@
 //! replays the valid prefix by design); a snapshot file that fails its
 //! checksums is an error.
 
-use droidfuzz::analysis::{
-    absint_prog, audit_corpus, audit_relations, audit_snapshot, lint_prog, Report, Severity,
-};
+use droidfuzz::analysis::{audit_corpus, audit_relations, audit_snapshot, check_prog, Report, Severity};
 use droidfuzz::config::FuzzerConfig;
 use droidfuzz::engine::FuzzingEngine;
 use droidfuzz::fleet::SNAPSHOT_HEADER;
@@ -379,11 +377,7 @@ fn main() {
                         audit_corpus(&text, table)
                     } else {
                         match parse_prog(&text, table) {
-                            Ok(prog) => {
-                                let mut report = lint_prog(&prog, table);
-                                report.merge(absint_prog(&prog, table, models).report);
-                                report
-                            }
+                            Ok(prog) => check_prog(&prog, table, Some(models)).report,
                             Err(e) => {
                                 let mut report = Report::new();
                                 report.push(

@@ -23,7 +23,7 @@ use crate::probe::{add_hal_descs, probe_device, ProbeReport};
 use crate::relation::RelationGraph;
 use crate::stats::Series;
 use crate::supervisor::{FailureClass, FaultCounters, Supervisor, SupervisorConfig};
-use droidfuzz_analysis::{gate_prog, gate_prog_static, static_depth, LintCounters, ModelSet};
+use droidfuzz_analysis::{check_prog, gate_prog, gate_prog_static, LintCounters, ModelSet};
 use fuzzlang::desc::DescTable;
 use fuzzlang::mutate::{crossover, mutate_n};
 use fuzzlang::prog::Prog;
@@ -210,22 +210,18 @@ impl FuzzingEngine {
     /// Runs the static-analysis gate over `prog` in place: `true` lets the
     /// (possibly repaired) program through, `false` means it carried
     /// unrepairable errors. With static models loaded (DroidFuzz-S) the
-    /// abstract-interpretation reachability gate runs after the lint
-    /// gate: programs whose modeled driver calls all provably fail get
-    /// prerequisite transitions inserted, and unfixable ones are
-    /// rejected. Both passes are deterministic and consume no RNG, so
-    /// gated campaigns replay identically. A disabled gate passes
-    /// everything.
+    /// same gate also checks reachability: programs whose modeled driver
+    /// calls all provably fail get prerequisite transitions inserted, and
+    /// unfixable ones are rejected. The gate is deterministic and consumes
+    /// no RNG, so gated campaigns replay identically. A disabled gate
+    /// passes everything.
     fn lint_gate(&mut self, prog: &mut Prog) -> bool {
         if !self.config.lint_gate {
             return true;
         }
-        if !gate_prog(prog, &self.table, &mut self.lint) {
-            return false;
-        }
         match &self.models {
             Some(models) => gate_prog_static(prog, &self.table, models, &mut self.lint),
-            None => true,
+            None => gate_prog(prog, &self.table, &mut self.lint),
         }
     }
 
@@ -235,7 +231,7 @@ impl FuzzingEngine {
     fn static_energy_bonus(&self, prog: &Prog) -> usize {
         self.models
             .as_ref()
-            .map_or(0, |models| static_depth(prog, &self.table, models) as usize * 4)
+            .map_or(0, |models| check_prog(prog, &self.table, Some(models)).depth as usize * 4)
     }
 
     /// Runs exactly one fuzzing iteration, advancing the virtual clock.

@@ -41,11 +41,18 @@ pub mod prelude {
     pub use crate::{any, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 }
 
-/// Number of cases each property runs (upstream default is 256; 96 keeps
-/// the engine-heavy suites fast while still exploring the space).
+/// Number of cases each property runs by default (upstream default is
+/// 256; 96 keeps the engine-heavy suites fast while still exploring the
+/// space).
 pub const CASES: u64 = 96;
 
-/// Declares property tests. Each function body runs [`CASES`] times with
+/// Number of cases each property runs: `PROPTEST_CASES` when it is set
+/// to a number (as upstream honors it), [`CASES`] otherwise.
+pub fn cases() -> u64 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(CASES)
+}
+
+/// Declares property tests. Each function body runs [`cases`] times with
 /// inputs drawn from its strategies; `prop_assert*` failures abort the
 /// test and print the offending inputs.
 #[macro_export]
@@ -60,7 +67,7 @@ macro_rules! proptest {
                     seed ^= b as u64;
                     seed = seed.wrapping_mul(0x1000_0000_01b3);
                 }
-                for case in 0..$crate::CASES {
+                for case in 0..$crate::cases() {
                     let mut __rng = <::rand::rngs::StdRng as ::rand::SeedableRng>::seed_from_u64(
                         seed ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                     );

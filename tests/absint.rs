@@ -16,17 +16,23 @@
 //! trigger per new diagnostic code; the CI `static-model` job runs
 //! `droidfuzz-lint` over the same files.
 
+use droidfuzz_repro::droidfuzz::config::FuzzerConfig;
 use droidfuzz_repro::droidfuzz::descs::build_syscall_table;
 use droidfuzz_repro::droidfuzz::exec::Broker;
+use droidfuzz_repro::droidfuzz::generate::relational_generate;
+use droidfuzz_repro::droidfuzz::relation::RelationGraph;
+use droidfuzz_repro::droidfuzz::FuzzingEngine;
 use droidfuzz_repro::droidfuzz_analysis::{
-    absint_prog, gate_prog_static, repair_prereqs, LintCounters, ModelSet, Severity,
+    check_prog, gate_prog, gate_prog_static, repair_prereqs, LintCounters, ModelSet, Severity,
 };
-use droidfuzz_repro::fuzzlang::desc::DescTable;
-use droidfuzz_repro::fuzzlang::prog::Prog;
+use droidfuzz_repro::fuzzlang::desc::{DescId, DescTable};
+use droidfuzz_repro::fuzzlang::prog::{ArgValue, Prog};
 use droidfuzz_repro::fuzzlang::text::{format_prog, parse_prog};
 use droidfuzz_repro::simdevice::{catalog, Device};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Boots the catalog device at `idx` (mod 7) and derives the Syzlang
 /// vocabulary plus its state models.
@@ -39,6 +45,53 @@ fn fresh_device(idx: usize) -> (Device, DescTable, ModelSet) {
     (device, table, models)
 }
 
+/// Each catalog device's DroidFuzz-S engine: description table (syscalls
+/// plus probed HAL methods), prior-seeded relation graph, state models.
+fn engines() -> &'static [(DescTable, RelationGraph, ModelSet)] {
+    static ENGINES: OnceLock<Vec<(DescTable, RelationGraph, ModelSet)>> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        catalog::all_devices()
+            .into_iter()
+            .map(|spec| {
+                let engine = FuzzingEngine::new(spec.boot(), FuzzerConfig::droidfuzz_s(1));
+                let models = engine.model_set().expect("DroidFuzz-S loads state models").clone();
+                (engine.desc_table().clone(), engine.relation_graph().clone(), models)
+            })
+            .collect()
+    })
+}
+
+/// Breaks `prog` the ways corrupt imports do: dangling, forward and self
+/// references, references in value slots, argument-count drift,
+/// out-of-table description ids, and dropped or duplicated calls whose
+/// later references are not shifted.
+fn corrupt(prog: &mut Prog, table: &DescTable, rng: &mut StdRng) {
+    let n = prog.calls.len();
+    if n == 0 {
+        return;
+    }
+    let i = rng.gen_range(0..n);
+    let call = &mut prog.calls[i];
+    let slot = (!call.args.is_empty()).then(|| rng.gen_range(0..call.args.len()));
+    match (rng.gen_range(0..8), slot) {
+        (0, Some(a)) => call.args[a] = ArgValue::Ref(n + rng.gen_range(0..3usize)),
+        (1, Some(a)) => call.args[a] = ArgValue::Ref(rng.gen_range(i..n)),
+        (2, Some(a)) => call.args[a] = ArgValue::Ref(rng.gen_range(0..=i)),
+        (3, _) => call.args.push(ArgValue::Int(rng.gen_range(0..4))),
+        (4, _) => {
+            call.args.pop();
+        }
+        (5, _) => call.desc = DescId(table.len() + rng.gen_range(0..3usize)),
+        (6, _) => {
+            let copy = call.clone();
+            prog.calls.insert(rng.gen_range(0..=n), copy);
+        }
+        _ => {
+            prog.calls.remove(i);
+        }
+    }
+}
+
 /// Asserts the three soundness properties for `prog` on a fresh `device`.
 fn assert_sound(
     device: &mut Device,
@@ -46,14 +99,14 @@ fn assert_sound(
     models: &ModelSet,
     prog: &Prog,
 ) -> Result<(), String> {
-    let result = absint_prog(prog, table, models);
+    let result = check_prog(prog, table, Some(models));
     let text = format_prog(prog, table);
 
     // Round-trip invariance.
     let reparsed = parse_prog(&text, table).expect("own output reparses");
     prop_assert_eq!(&reparsed, prog, "text round-trip must be exact");
     prop_assert_eq!(
-        absint_prog(&reparsed, table, models),
+        check_prog(&reparsed, table, Some(models)),
         result.clone(),
         "absint must be invariant under print/parse"
     );
@@ -157,36 +210,77 @@ proptest! {
     }
 }
 
-/// Each fixture under `tests/fixtures/lint/absint/` pins exactly one new
-/// diagnostic code (the directory must not grow unasserted files).
+proptest! {
+    /// The DroidFuzz-S gate interprets a program before structural
+    /// repair, so the interpreter sees broken input: on corrupted
+    /// generated and relational programs on every device, the check with
+    /// models and both gates never panic, a passing gate leaves a valid
+    /// program without lint errors, and gating it again changes nothing.
+    #[test]
+    fn gates_survive_corrupted_programs_on_every_device(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (table, graph, models) in engines() {
+            let generated = droidfuzz_repro::fuzzlang::gen::generate(table, rng.gen_range(1..10), &mut rng);
+            let relational = relational_generate(table, graph, rng.gen_range(1..12), &mut rng);
+            for mut prog in [generated, relational] {
+                for _ in 0..rng.gen_range(1..4) {
+                    corrupt(&mut prog, table, &mut rng);
+                }
+                check_prog(&prog, table, Some(models));
+                for with_models in [false, true] {
+                    let gate = |prog: &mut Prog, counters: &mut LintCounters| match with_models {
+                        true => gate_prog_static(prog, table, models, counters),
+                        false => gate_prog(prog, table, counters),
+                    };
+                    let mut gated = prog.clone();
+                    let mut counters = LintCounters::default();
+                    if !gate(&mut gated, &mut counters) {
+                        continue;
+                    }
+                    prop_assert_eq!(gated.validate(table), Ok(()), "gated {:?}", prog);
+                    prop_assert!(!check_prog(&gated, table, None).malformed, "gated {:?}", prog);
+                    let (once, counted_once) = (gated.clone(), counters);
+                    prop_assert!(gate(&mut gated, &mut counters), "regating {:?}", once);
+                    prop_assert_eq!(&gated, &once, "regating changed the program");
+                    prop_assert_eq!(counters, counted_once, "regating counted");
+                }
+            }
+        }
+    }
+}
+
+/// Each fixture under `tests/fixtures/lint/absint/` pins one diagnostic
+/// code, and its whole A1 report is pinned in order: lint findings
+/// first, then the abstract interpreter's, as `(severity, code, call)`
+/// (the directory must not grow unasserted files).
 #[test]
 fn absint_fixture_programs_trigger_their_codes() {
     let (_, table, models) = fresh_device(0); // device A1
-    let expected = [
-        ("dead-call.prog", "absint-dead-call", Severity::Warning),
-        ("guard-violation.prog", "absint-guard-violation", Severity::Warning),
+    use Severity::{Error, Warning};
+    type Finding = (Severity, &'static str, Option<usize>);
+    let expected: [(&str, &[Finding]); 4] = [
+        ("dead-call.prog", &[(Warning, "absint-dead-call", Some(2))]),
+        (
+            "guard-violation.prog",
+            &[(Warning, "int-out-of-range", Some(2)), (Warning, "absint-guard-violation", Some(2))],
+        ),
         (
             "consume-before-produce.prog",
-            "absint-consume-before-produce",
-            Severity::Warning,
+            &[(Warning, "absint-consume-before-produce", Some(2))],
         ),
-        ("dead-prog.prog", "absint-dead-prog", Severity::Error),
+        (
+            "dead-prog.prog",
+            &[(Warning, "absint-dead-call", Some(1)), (Error, "absint-dead-prog", None)],
+        ),
     ];
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/lint/absint");
-    for (file, code, severity) in expected {
+    for (file, want) in expected {
         let text = std::fs::read_to_string(format!("{dir}/{file}"))
             .unwrap_or_else(|e| panic!("{file}: {e}"));
         let prog = parse_prog(&text, &table).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let result = absint_prog(&prog, &table, &models);
-        assert!(
-            result
-                .report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == code && d.severity == severity),
-            "{file}: expected {severity:?} {code}, got {:?}",
-            result.report.diagnostics
-        );
+        let report = check_prog(&prog, &table, Some(&models)).report;
+        let got: Vec<Finding> = report.diagnostics.iter().map(|d| (d.severity, d.code, d.call)).collect();
+        assert_eq!(got, want, "{file}: {:?}", report.diagnostics);
     }
     let files = std::fs::read_dir(dir).expect("fixture dir exists").count();
     assert_eq!(files, expected.len(), "every fixture must be asserted above");
@@ -207,7 +301,7 @@ fn static_gate_repairs_the_dead_prog_fixture() {
     );
     assert_eq!(counters.absint_repaired, 1);
     assert_eq!(counters.absint_rejected, 0);
-    let result = absint_prog(&prog, &table, &models);
+    let result = check_prog(&prog, &table, Some(&models));
     assert!(!result.report.has_errors(), "{:?}", result.report.diagnostics);
     assert!(result.depth > 0, "repair must unlock real state progress");
     let outcome = Broker::new().execute(&mut device, &table, &prog);

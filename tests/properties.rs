@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of the reproduction.
 
-use droidfuzz_repro::droidfuzz::analysis::{audit_corpus, lint_prog};
+use droidfuzz_repro::droidfuzz::analysis::{audit_corpus, check_prog, Report};
 use droidfuzz_repro::droidfuzz::config::FuzzerConfig;
 use droidfuzz_repro::droidfuzz::corpus::Corpus;
 use droidfuzz_repro::droidfuzz::crashes::dedup_key;
@@ -10,6 +10,7 @@ use droidfuzz_repro::droidfuzz::feedback::{signals_from_execution, SignalSet, Sy
 use droidfuzz_repro::droidfuzz::fleet::FleetSnapshot;
 use droidfuzz_repro::droidfuzz::relation::RelationGraph;
 use droidfuzz_repro::fuzzlang::desc::{ArgDesc, CallDesc, CallKind, DescId, DescTable, SyscallTemplate};
+use droidfuzz_repro::fuzzlang::prog::Prog;
 use droidfuzz_repro::fuzzlang::text::{format_prog, parse_prog};
 use droidfuzz_repro::fuzzlang::types::TypeDesc;
 use droidfuzz_repro::simbinder::Parcel;
@@ -19,6 +20,11 @@ use droidfuzz_repro::simkernel::syscall::SyscallNr;
 use droidfuzz_repro::simkernel::trace::{Origin, SyscallEvent};
 use proptest::prelude::*;
 use rand::SeedableRng;
+
+/// The models-free static check: the lint report alone.
+fn lint(prog: &Prog, table: &DescTable) -> Report {
+    check_prog(prog, table, None).report
+}
 
 fn test_table() -> DescTable {
     let mut t = DescTable::new();
@@ -91,10 +97,10 @@ proptest! {
         let table = test_table();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let prog = droidfuzz_repro::fuzzlang::gen::generate(&table, len, &mut rng);
-        let direct = lint_prog(&prog, &table);
+        let direct = lint(&prog, &table);
         let text = format_prog(&prog, &table);
         let reparsed = parse_prog(&text, &table).unwrap();
-        prop_assert_eq!(lint_prog(&reparsed, &table), direct);
+        prop_assert_eq!(lint(&reparsed, &table), direct);
     }
 
     /// Generator output never carries an `Error`-severity lint finding —
@@ -104,7 +110,7 @@ proptest! {
         let table = test_table();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let prog = droidfuzz_repro::fuzzlang::gen::generate(&table, len, &mut rng);
-        let report = lint_prog(&prog, &table);
+        let report = lint(&prog, &table);
         prop_assert_eq!(report.error_count(), 0, "unexpected errors: {:?}", report.diagnostics);
     }
 
@@ -117,7 +123,7 @@ proptest! {
         let mut prog = droidfuzz_repro::fuzzlang::gen::generate(&table, 5, &mut rng);
         for step in 0..mutations {
             droidfuzz_repro::fuzzlang::mutate::mutate(&mut prog, &table, &mut rng);
-            let report = lint_prog(&prog, &table);
+            let report = lint(&prog, &table);
             prop_assert_eq!(
                 report.error_count(), 0,
                 "errors after mutation step {}: {:?}", step, report.diagnostics
