@@ -27,7 +27,9 @@
 //! batches of `DF_BATCH`, default 32), asserts outcome equality, measures
 //! hostile-fault overhead at fleet granularity (`DF_BATCH_HOURS` virtual
 //! hours, default 0.15), and sweeps batch {1,4,32} x threads {1,4} for
-//! snapshot byte-identity.
+//! snapshot byte-identity. Its `allocs_per_prog` is the heap allocations
+//! the batched arm makes per program, counted by this binary's global
+//! allocator on the bench thread.
 //!
 //! A sync hot-path arm (`"bench":"sync_hot_paths"`) restores the hub
 //! relation graph of a fixed-seed 4-shard, 6-virtual-hour campaign on the
@@ -44,6 +46,7 @@ use droidfuzz::config::FuzzerConfig;
 use droidfuzz::corpus::Corpus;
 use droidfuzz::descs::build_syscall_table;
 use droidfuzz::exec::Broker;
+use droidfuzz_bench::reference::ReferenceBroker;
 use droidfuzz::fleet::{Fleet, FleetConfig, FleetResult, FleetSnapshot};
 use droidfuzz::generate::{random_generate, relational_generate};
 use droidfuzz::relation::RelationGraph;
@@ -58,6 +61,51 @@ use rand::SeedableRng;
 use simdevice::catalog;
 use simdevice::faults::FaultProfile;
 use simdevice::firmware::FirmwareSpec;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting allocations per thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the thread-local
+// counter is a `const`-initialized `Cell` without a destructor, so it
+// never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by the calling thread so far.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 fn fleet_config(shards: usize, hours: f64, sync_min: f64, sync: bool) -> FleetConfig {
     FleetConfig {
@@ -351,22 +399,22 @@ fn main() {
     let progs: Vec<_> =
         (0..batch_progs).map(|_| random_generate(&batch_table, 12, &mut prog_rng)).collect();
 
-    let mut ref_broker = Broker::new();
+    let mut ref_broker = ReferenceBroker::new();
     let start = std::time::Instant::now();
-    let ref_outcomes: Vec<_> = progs
-        .iter()
-        .map(|p| ref_broker.execute_reference(&mut ref_device, &batch_table, p))
-        .collect();
+    let ref_outcomes: Vec<_> =
+        progs.iter().map(|p| ref_broker.execute(&mut ref_device, &batch_table, p)).collect();
     let ref_wall = start.elapsed().as_secs_f64();
     let ref_rate = batch_progs as f64 / ref_wall.max(1e-9);
 
     let mut fast_broker = Broker::new();
+    let allocs_before = thread_allocs();
     let start = std::time::Instant::now();
     let mut fast_outcomes = Vec::with_capacity(batch_progs);
     for chunk in progs.chunks(batch_size) {
         fast_outcomes.extend(fast_broker.execute_batch(&mut fast_device, &batch_table, chunk));
     }
     let fast_wall = start.elapsed().as_secs_f64();
+    let allocs_per_prog = (thread_allocs() - allocs_before) as f64 / batch_progs as f64;
     let fast_rate = batch_progs as f64 / fast_wall.max(1e-9);
     assert_eq!(ref_outcomes.len(), fast_outcomes.len());
     for (i, (a, b)) in ref_outcomes.iter().zip(&fast_outcomes).enumerate() {
@@ -376,7 +424,7 @@ fn main() {
     println!(
         "\nbatched execution ({batch_progs} programs, batch={batch_size}): \
          reference {ref_rate:.0} progs/s, batched {fast_rate:.0} progs/s \
-         ({exec_speedup:.2}x, outcomes identical)"
+         ({exec_speedup:.2}x, outcomes identical, {allocs_per_prog:.2} allocations/prog)"
     );
 
     // The same comparison under hostile faults, at fleet granularity: a
@@ -434,6 +482,7 @@ fn main() {
          \"batch\":{batch_size},\"reference_wall_secs\":{ref_wall:.3},\
          \"reference_progs_per_sec\":{ref_rate:.1},\"batched_wall_secs\":{fast_wall:.3},\
          \"batched_progs_per_sec\":{fast_rate:.1},\"speedup\":{exec_speedup:.3},\
+         \"allocs_per_prog\":{allocs_per_prog:.2},\
          \"hostile_per_program_execs_per_sec\":{hostile_pp_rate:.1},\
          \"hostile_batched_execs_per_sec\":{hostile_batched_rate:.1},\
          \"hostile_speedup\":{hostile_speedup:.3},\

@@ -20,6 +20,8 @@
 //! * `DF_REPEATS` — repetitions per configuration (default 3–5; the paper
 //!   uses 10).
 
+pub mod reference;
+
 use droidfuzz::config::FuzzerConfig;
 use droidfuzz::daemon::{CampaignResult, Daemon};
 use simdevice::firmware::FirmwareSpec;

@@ -886,10 +886,7 @@ mod tests {
         assert!(c.reprovisions >= c.device_lost, "each loss pays a re-provision");
         assert!(!engine.device_lost());
         let device = engine.device();
-        assert!(
-            device.hal_descriptors().iter().all(|d| device.hal_alive(d)),
-            "campaign ends with every service revived"
-        );
+        assert!(device.all_hal_alive(), "campaign ends with every service revived");
         assert!(engine.kernel_coverage() > 0);
     }
 

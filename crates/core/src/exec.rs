@@ -19,8 +19,13 @@
 //! marks each kernel coverage page's live count after a scan and word-diffs
 //! only pages that grew since (see [`simkernel::coverage::CovPage::diff_into`]), instead of
 //! filtering the whole map per execution.
+//!
+//! Once warm, a call costs no heap allocation on the broker side: syscall
+//! arguments borrow the program's payload bytes and the template's node
+//! path, ioctl arguments are packed into one reused buffer, and HAL
+//! arguments into one reused parcel.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use fuzzlang::desc::{CallKind, DescTable, SyscallTemplate};
 use fuzzlang::prog::{ArgValue, Prog};
@@ -105,16 +110,13 @@ pub struct Broker {
     /// The persistent trace session and the boot count it was attached
     /// under — a reboot replaces the kernel and kills the session with it.
     session: Option<(TraceId, u32)>,
-    /// Scratch buffers reused across executions.
+    /// Scratch buffers reused across executions and calls.
     produced: Vec<Produced>,
     ints: Vec<u64>,
+    ioctl_arg: Vec<u8>,
+    parcel: Parcel,
     discard: Vec<SyscallEvent>,
     outcome_pool: Vec<ExecOutcome>,
-    /// State for [`execute_reference`](Self::execute_reference) only: the
-    /// historical HashSet-based seen filter, kept independent so reference
-    /// runs behave like a standalone pre-batching broker.
-    seen_reference: HashSet<Block>,
-    reference_primed: bool,
 }
 
 /// Cap on pooled [`ExecOutcome`] scratch objects.
@@ -311,70 +313,6 @@ impl Broker {
         }
     }
 
-    /// The historical per-program execution flow, kept verbatim: fresh
-    /// buffers and per-call descriptor clones, a per-execution trace
-    /// attach/detach, and a full filter scan of the kernel coverage map
-    /// against its own `HashSet` seen filter. It is the differential
-    /// oracle for the batched path (byte-equal outcomes required) and the
-    /// honest baseline for the `exec_batch` bench arm. Not used by the
-    /// engine.
-    pub fn execute_reference(
-        &mut self,
-        device: &mut Device,
-        table: &DescTable,
-        prog: &Prog,
-    ) -> ExecOutcome {
-        self.executions += 1;
-        if !self.reference_primed {
-            self.seen_reference
-                .extend(device.kernel_ref().global_coverage().iter());
-            self.reference_primed = true;
-        }
-        let pid = device.kernel().spawn_process(Origin::Native);
-        let _ = device.kernel().kcov_enable(pid);
-        let trace = device.kernel().attach_trace(TraceFilter::HalOnly);
-
-        let mut produced: Vec<Produced> = Vec::with_capacity(prog.calls.len());
-        let mut call_results = Vec::with_capacity(prog.calls.len());
-        for call in &prog.calls {
-            let desc = table.get(call.desc).clone();
-            let (result, value) = match &desc.kind {
-                CallKind::Syscall(template) => {
-                    self.run_syscall(device, pid, template, &call.args, &produced)
-                }
-                CallKind::Hal { service, code } => {
-                    self.run_hal(device, service, *code, &desc.args, &call.args, &produced)
-                }
-            };
-            call_results.push(result);
-            produced.push(value);
-        }
-
-        let kcov = device.kernel().kcov_collect(pid).unwrap_or_default();
-        let hal_events = device.kernel().trace_drain(trace);
-        device.kernel().detach_trace(trace);
-        let _ = device.kernel().exit_process(pid);
-        device.end_hal_client();
-        let observed_new_blocks: Vec<Block> = device
-            .kernel_ref()
-            .global_coverage()
-            .iter()
-            .filter(|b| !self.seen_reference.contains(b))
-            .collect();
-        self.seen_reference.extend(observed_new_blocks.iter().copied());
-        let bugs = device.take_bug_reports();
-        let reply_bytes = kcov.len() * 8 + hal_events.len() * 16;
-        ExecOutcome {
-            kcov,
-            observed_new_blocks,
-            hal_events,
-            bugs,
-            calls_executed: call_results.len(),
-            call_results,
-            reply_bytes,
-        }
-    }
-
     fn resolve_fd(args_value: &ArgValue, produced: &[Produced]) -> Fd {
         match args_value {
             ArgValue::Ref(t) => match produced.get(*t) {
@@ -417,68 +355,56 @@ impl Broker {
             ArgValue::Ref(_) => Some(Self::resolve_scalar(a, produced)),
             _ => None,
         }));
-        let bytes: Vec<u8> = args
+        let bytes: &[u8] = args
             .iter()
             .find_map(|a| match a {
-                ArgValue::Bytes(b) => Some(b.clone()),
+                ArgValue::Bytes(b) => Some(b.as_slice()),
                 _ => None,
             })
             .unwrap_or_default();
         let int = |i: usize| ints.get(i).copied().unwrap_or(0);
+        let fd = fd.unwrap_or(Fd(0xFFFF));
+        let mut ioctl_arg = std::mem::take(&mut self.ioctl_arg);
+        ioctl_arg.clear();
+        let mut pack = |words: &[u64]| {
+            for v in words {
+                ioctl_arg.extend_from_slice(&(*v as u32).to_le_bytes());
+            }
+            ioctl_arg.extend_from_slice(bytes);
+        };
 
         let call = match template {
-            SyscallTemplate::Openat { path } => Syscall::Openat { path: path.clone() },
-            SyscallTemplate::Close => Syscall::Close { fd: fd.unwrap_or(Fd(0xFFFF)) },
-            SyscallTemplate::Read => Syscall::Read {
-                fd: fd.unwrap_or(Fd(0xFFFF)),
-                len: (int(0) as usize).min(1 << 16),
-            },
-            SyscallTemplate::Write => {
-                Syscall::Write { fd: fd.unwrap_or(Fd(0xFFFF)), data: bytes }
-            }
+            SyscallTemplate::Openat { path } => Syscall::Openat { path },
+            SyscallTemplate::Close => Syscall::Close { fd },
+            SyscallTemplate::Read => Syscall::Read { fd, len: (int(0) as usize).min(1 << 16) },
+            SyscallTemplate::Write => Syscall::Write { fd, data: bytes },
             SyscallTemplate::Ioctl { request } => {
-                let mut arg = Vec::with_capacity(ints.len() * 4 + bytes.len());
-                for v in &ints {
-                    arg.extend_from_slice(&(*v as u32).to_le_bytes());
-                }
-                arg.extend_from_slice(&bytes);
-                Syscall::Ioctl { fd: fd.unwrap_or(Fd(0xFFFF)), request: *request, arg }
+                pack(&ints);
+                Syscall::Ioctl { fd, request: *request, arg: &ioctl_arg }
             }
             SyscallTemplate::IoctlAny => {
-                let request = int(0) as u32;
-                let mut arg = Vec::with_capacity((ints.len().saturating_sub(1)) * 4 + bytes.len());
-                for v in ints.iter().skip(1) {
-                    arg.extend_from_slice(&(*v as u32).to_le_bytes());
-                }
-                arg.extend_from_slice(&bytes);
-                Syscall::Ioctl { fd: fd.unwrap_or(Fd(0xFFFF)), request, arg }
+                pack(ints.get(1..).unwrap_or_default());
+                Syscall::Ioctl { fd, request: int(0) as u32, arg: &ioctl_arg }
             }
             SyscallTemplate::Mmap => Syscall::Mmap {
-                fd: fd.unwrap_or(Fd(0xFFFF)),
+                fd,
                 len: (int(0) as usize).min(1 << 24),
                 prot: int(1) as u32,
             },
-            SyscallTemplate::Poll => {
-                Syscall::Poll { fd: fd.unwrap_or(Fd(0xFFFF)), events: int(0) as u32 }
-            }
-            SyscallTemplate::Dup => Syscall::Dup { fd: fd.unwrap_or(Fd(0xFFFF)) },
+            SyscallTemplate::Poll => Syscall::Poll { fd, events: int(0) as u32 },
+            SyscallTemplate::Dup => Syscall::Dup { fd },
             SyscallTemplate::Socket { domain, ty, proto } => {
                 Syscall::Socket { domain: *domain, ty: *ty, proto: *proto }
             }
-            SyscallTemplate::Bind => {
-                Syscall::Bind { fd: fd.unwrap_or(Fd(0xFFFF)), addr: int(0) }
-            }
-            SyscallTemplate::Connect => {
-                Syscall::Connect { fd: fd.unwrap_or(Fd(0xFFFF)), addr: int(0) }
-            }
-            SyscallTemplate::Listen => Syscall::Listen {
-                fd: fd.unwrap_or(Fd(0xFFFF)),
-                backlog: int(0) as u32,
-            },
-            SyscallTemplate::Accept => Syscall::Accept { fd: fd.unwrap_or(Fd(0xFFFF)) },
+            SyscallTemplate::Bind => Syscall::Bind { fd, addr: int(0) },
+            SyscallTemplate::Connect => Syscall::Connect { fd, addr: int(0) },
+            SyscallTemplate::Listen => Syscall::Listen { fd, backlog: int(0) as u32 },
+            SyscallTemplate::Accept => Syscall::Accept { fd },
         };
+        let ret = device.kernel().syscall(pid, call);
         self.ints = ints;
-        match device.kernel().syscall(pid, call) {
+        self.ioctl_arg = ioctl_arg;
+        match ret {
             SyscallRet::NewFd(fd) => (true, Produced::Fd(fd)),
             SyscallRet::Ok(v) => (true, Produced::Scalar(v)),
             SyscallRet::Data(d) => (true, Produced::Scalar(d.len() as u64)),
@@ -495,7 +421,8 @@ impl Broker {
         args: &[ArgValue],
         produced: &[Produced],
     ) -> (bool, Produced) {
-        let mut parcel = Parcel::new();
+        let mut parcel = std::mem::take(&mut self.parcel);
+        parcel.clear();
         for (desc, value) in arg_descs.iter().zip(args) {
             match (&desc.ty, value) {
                 (TypeDesc::Resource { kind }, _) if kind.0.starts_with("hal:") => {
@@ -514,14 +441,17 @@ impl Broker {
                     parcel.write_i32(Self::resolve_scalar(value, produced) as i32);
                 }
                 (_, ArgValue::Bytes(b)) => {
-                    parcel.write_blob(b.clone());
+                    parcel.write_blob(b);
                 }
                 (_, ArgValue::Str(s)) => {
-                    parcel.write_string16(s.clone());
+                    parcel.write_string16(s);
                 }
             }
         }
-        match device.transact(service, Transaction::new(code, parcel)) {
+        let txn = Transaction::new(code, parcel);
+        let result = device.transact(service, &txn);
+        self.parcel = txn.data;
+        match result {
             Ok(reply) => {
                 let value = reply
                     .reader()
@@ -541,10 +471,7 @@ impl Broker {
 mod tests {
     use super::*;
     use crate::descs::build_syscall_table;
-    use crate::generate::random_generate;
     use fuzzlang::prog::Call;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use simdevice::catalog;
 
     fn prog_of(table: &DescTable, lines: &[(&str, Vec<ArgValue>)]) -> Prog {
@@ -681,77 +608,6 @@ mod tests {
             !outcome.observed_new_blocks.is_empty(),
             "the measurement channel does see it"
         );
-    }
-
-    /// A deterministic stream of generated programs for differential runs.
-    fn generated_progs(table: &DescTable, seed: u64, n: usize) -> Vec<Prog> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| random_generate(table, 8, &mut rng))
-            .filter(|p| !p.is_empty())
-            .collect()
-    }
-
-    /// The batched path must be outcome-identical to the historical
-    /// per-program reference flow, program by program.
-    #[test]
-    fn batched_execution_matches_reference_path() {
-        let specs: [fn() -> simdevice::FirmwareSpec; 2] = [catalog::device_a1, catalog::device_b];
-        for spec in specs {
-            let mut dev_batch = spec().boot();
-            let mut dev_ref = spec().boot();
-            let table = build_syscall_table(dev_batch.kernel());
-            let progs = generated_progs(&table, 0xBA7C4, 60);
-            let mut batch_broker = Broker::new();
-            let mut ref_broker = Broker::new();
-            let batched = batch_broker.execute_batch(&mut dev_batch, &table, &progs);
-            for (i, (prog, got)) in progs.iter().zip(&batched).enumerate() {
-                let want = ref_broker.execute_reference(&mut dev_ref, &table, prog);
-                assert_eq!(*got, want, "outcome {i} diverged from the reference path");
-            }
-        }
-    }
-
-    /// Outside a batch, `execute` must also match the reference — the two
-    /// modes share one algorithm, batch boundaries only amortize setup.
-    #[test]
-    fn oneshot_execute_matches_reference_path() {
-        let mut dev_new = catalog::device_a1().boot();
-        let mut dev_ref = catalog::device_a1().boot();
-        let table = build_syscall_table(dev_new.kernel());
-        let mut new_broker = Broker::new();
-        let mut ref_broker = Broker::new();
-        for prog in generated_progs(&table, 0x05E0, 40) {
-            let got = new_broker.execute(&mut dev_new, &table, &prog);
-            let want = ref_broker.execute_reference(&mut dev_ref, &table, &prog);
-            assert_eq!(got, want);
-            new_broker.recycle(got);
-        }
-    }
-
-    /// A reboot mid-batch kills the kernel (and the persistent trace
-    /// session with it); the broker must reattach and keep producing
-    /// reference-identical outcomes.
-    #[test]
-    fn batch_survives_mid_batch_reboot() {
-        let mut dev_batch = catalog::device_a1().boot();
-        let mut dev_ref = catalog::device_a1().boot();
-        let table = build_syscall_table(dev_batch.kernel());
-        let progs = generated_progs(&table, 0x5EB007, 30);
-        let mut batch_broker = Broker::new();
-        let mut ref_broker = Broker::new();
-        batch_broker.begin_batch(&mut dev_batch);
-        for (i, prog) in progs.iter().enumerate() {
-            if i == 10 {
-                dev_batch.reboot();
-                dev_ref.reboot();
-            }
-            let got = batch_broker.execute(&mut dev_batch, &table, prog);
-            let want = ref_broker.execute_reference(&mut dev_ref, &table, prog);
-            assert_eq!(got, want, "outcome {i} diverged across the reboot");
-            batch_broker.recycle(got);
-        }
-        batch_broker.end_batch(&mut dev_batch);
     }
 
     /// Recycled outcomes must be indistinguishable from fresh ones.

@@ -144,7 +144,7 @@ pub fn probe_device(device: &mut Device) -> ProbeReport {
             // Default trial.
             let default_result = device.transact(
                 &descriptor,
-                Transaction::new(method.code, build_parcel(&method.args, &[])),
+                &Transaction::new(method.code, build_parcel(&method.args, &[])),
             );
             let produces_handle = matches!(&default_result, Ok(p) if !p.is_empty());
             // Per-int-argument value trials.
@@ -156,7 +156,7 @@ pub fn probe_device(device: &mut Device) -> ProbeReport {
                         for &v in &INT_TRIALS {
                             let r = device.transact(
                                 &descriptor,
-                                Transaction::new(method.code, build_parcel(&method.args, &[(i, v)])),
+                                &Transaction::new(method.code, build_parcel(&method.args, &[(i, v)])),
                             );
                             if marshaling_accepted(&r) {
                                 accepted.push(v as u64);

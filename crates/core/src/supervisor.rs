@@ -264,9 +264,7 @@ impl Supervisor {
     /// dead without any bug report. A found bug always reports; silence
     /// distinguishes "the hardware glitched" from "the fuzzer scored".
     fn silently_lost(device: &Device, outcome: &ExecOutcome) -> bool {
-        outcome.bugs.is_empty()
-            && (device.is_wedged()
-                || device.hal_descriptors().iter().any(|d| !device.hal_alive(d)))
+        outcome.bugs.is_empty() && (device.is_wedged() || !device.all_hal_alive())
     }
 
     /// Drops the tail half of the feedback: the link died mid-pull.
@@ -305,7 +303,7 @@ impl Supervisor {
             if self.plan.reprovision_fails() {
                 continue;
             }
-            if !device.is_wedged() && device.hal_descriptors().iter().all(|d| device.hal_alive(d)) {
+            if !device.is_wedged() && device.all_hal_alive() {
                 return true;
             }
         }

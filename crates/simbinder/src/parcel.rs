@@ -36,12 +36,15 @@ impl fmt::Display for ValueKind {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One parcel slot. Strings and blobs are byte ranges into the parcel's
+/// text and byte arenas, so writing one copies into storage the parcel
+/// keeps across [`Parcel::clear`] instead of allocating per value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Value {
     I32(i32),
     I64(i64),
-    String16(String),
-    Blob(Vec<u8>),
+    String16(u32, u32),
+    Blob(u32, u32),
     FileDescriptor(u32),
 }
 
@@ -50,8 +53,8 @@ impl Value {
         match self {
             Value::I32(_) => ValueKind::I32,
             Value::I64(_) => ValueKind::I64,
-            Value::String16(_) => ValueKind::String16,
-            Value::Blob(_) => ValueKind::Blob,
+            Value::String16(..) => ValueKind::String16,
+            Value::Blob(..) => ValueKind::Blob,
             Value::FileDescriptor(_) => ValueKind::FileDescriptor,
         }
     }
@@ -74,7 +77,7 @@ pub enum ReadParcelError {
 impl fmt::Display for ReadParcelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReadParcelError::UnexpectedEnd => f.write_str("unexpected end of parcel"),
+            ReadParcelError::UnexpectedEnd => f.write_str(UNEXPECTED_END),
             ReadParcelError::TypeMismatch { expected, found } => {
                 write!(f, "parcel type mismatch: expected {expected}, found {found}")
             }
@@ -84,10 +87,30 @@ impl fmt::Display for ReadParcelError {
 
 impl std::error::Error for ReadParcelError {}
 
+const UNEXPECTED_END: &str = "unexpected end of parcel";
+
+impl ReadParcelError {
+    /// The error's display text, borrowed when it is static.
+    pub(crate) fn text(self) -> std::borrow::Cow<'static, str> {
+        match self {
+            ReadParcelError::UnexpectedEnd => UNEXPECTED_END.into(),
+            mismatch => mismatch.to_string().into(),
+        }
+    }
+}
+
 /// An ordered sequence of typed values exchanged over a Binder transaction.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Parcel {
     values: Vec<Value>,
+    text: String,
+    bytes: Vec<u8>,
+}
+
+/// Narrows an arena range to the `u32` pair a string or blob slot stores.
+fn span(start: usize, end: usize) -> (u32, u32) {
+    let narrow = |n: usize| u32::try_from(n).expect("parcel arena exceeds 4 GiB");
+    (narrow(start), narrow(end))
 }
 
 impl Parcel {
@@ -109,15 +132,28 @@ impl Parcel {
     }
 
     /// Appends a string.
-    pub fn write_string16(&mut self, v: impl Into<String>) -> &mut Self {
-        self.values.push(Value::String16(v.into()));
+    pub fn write_string16(&mut self, v: impl AsRef<str>) -> &mut Self {
+        let start = self.text.len();
+        self.text.push_str(v.as_ref());
+        let (start, end) = span(start, self.text.len());
+        self.values.push(Value::String16(start, end));
         self
     }
 
     /// Appends a byte blob.
-    pub fn write_blob(&mut self, v: impl Into<Vec<u8>>) -> &mut Self {
-        self.values.push(Value::Blob(v.into()));
+    pub fn write_blob(&mut self, v: impl AsRef<[u8]>) -> &mut Self {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(v.as_ref());
+        let (start, end) = span(start, self.bytes.len());
+        self.values.push(Value::Blob(start, end));
         self
+    }
+
+    /// Removes every value, keeping the parcel's storage for reuse.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.text.clear();
+        self.bytes.clear();
     }
 
     /// Appends a file-descriptor token.
@@ -148,8 +184,8 @@ impl Parcel {
             .map(|v| match v {
                 Value::I32(_) | Value::FileDescriptor(_) => 4,
                 Value::I64(_) => 8,
-                Value::String16(s) => 4 + s.len() * 2,
-                Value::Blob(b) => 4 + b.len(),
+                Value::String16(start, end) => 4 + (end - start) as usize * 2,
+                Value::Blob(start, end) => 4 + (end - start) as usize,
             })
             .sum()
     }
@@ -168,8 +204,8 @@ pub struct ParcelReader<'a> {
 }
 
 impl<'a> ParcelReader<'a> {
-    fn next(&mut self, expected: ValueKind) -> Result<&'a Value, ReadParcelError> {
-        let value = self
+    fn next(&mut self, expected: ValueKind) -> Result<Value, ReadParcelError> {
+        let value = *self
             .parcel
             .values
             .get(self.pos)
@@ -189,7 +225,7 @@ impl<'a> ParcelReader<'a> {
     /// does not advance on error.
     pub fn read_i32(&mut self) -> Result<i32, ReadParcelError> {
         match self.next(ValueKind::I32)? {
-            Value::I32(v) => Ok(*v),
+            Value::I32(v) => Ok(v),
             _ => unreachable!("tag checked"),
         }
     }
@@ -201,7 +237,7 @@ impl<'a> ParcelReader<'a> {
     /// See [`read_i32`](Self::read_i32).
     pub fn read_i64(&mut self) -> Result<i64, ReadParcelError> {
         match self.next(ValueKind::I64)? {
-            Value::I64(v) => Ok(*v),
+            Value::I64(v) => Ok(v),
             _ => unreachable!("tag checked"),
         }
     }
@@ -213,7 +249,7 @@ impl<'a> ParcelReader<'a> {
     /// See [`read_i32`](Self::read_i32).
     pub fn read_string16(&mut self) -> Result<&'a str, ReadParcelError> {
         match self.next(ValueKind::String16)? {
-            Value::String16(v) => Ok(v),
+            Value::String16(start, end) => Ok(&self.parcel.text[start as usize..end as usize]),
             _ => unreachable!("tag checked"),
         }
     }
@@ -225,7 +261,7 @@ impl<'a> ParcelReader<'a> {
     /// See [`read_i32`](Self::read_i32).
     pub fn read_blob(&mut self) -> Result<&'a [u8], ReadParcelError> {
         match self.next(ValueKind::Blob)? {
-            Value::Blob(v) => Ok(v),
+            Value::Blob(start, end) => Ok(&self.parcel.bytes[start as usize..end as usize]),
             _ => unreachable!("tag checked"),
         }
     }
@@ -237,7 +273,7 @@ impl<'a> ParcelReader<'a> {
     /// See [`read_i32`](Self::read_i32).
     pub fn read_fd(&mut self) -> Result<u32, ReadParcelError> {
         match self.next(ValueKind::FileDescriptor)? {
-            Value::FileDescriptor(v) => Ok(*v),
+            Value::FileDescriptor(v) => Ok(v),
             _ => unreachable!("tag checked"),
         }
     }

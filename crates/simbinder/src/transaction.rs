@@ -2,6 +2,7 @@
 //! result statuses `libbinder` surfaces to callers.
 
 use crate::parcel::Parcel;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A request to a Binder service: method `code` plus marshaled arguments.
@@ -25,11 +26,13 @@ impl Transaction {
 pub enum TransactionError {
     /// No method with that code (`UNKNOWN_TRANSACTION`).
     UnknownCode(u32),
-    /// Arguments failed to unmarshal (`BAD_VALUE`).
-    BadParcel(String),
+    /// Arguments failed to unmarshal (`BAD_VALUE`). Static text is
+    /// borrowed, so rejecting a call allocates nothing.
+    BadParcel(Cow<'static, str>),
     /// The service rejected the call in its current state
-    /// (`INVALID_OPERATION`).
-    InvalidOperation(String),
+    /// (`INVALID_OPERATION`). Static text is borrowed, as with
+    /// [`BadParcel`](Self::BadParcel).
+    InvalidOperation(Cow<'static, str>),
     /// The service process crashed mid-call (`DEAD_OBJECT`) — the signal
     /// DroidFuzz's HAL executor treats as a HAL bug.
     DeadObject {
@@ -70,7 +73,7 @@ impl std::error::Error for TransactionError {}
 
 impl From<crate::parcel::ReadParcelError> for TransactionError {
     fn from(e: crate::parcel::ReadParcelError) -> Self {
-        TransactionError::BadParcel(e.to_string())
+        TransactionError::BadParcel(e.text())
     }
 }
 
@@ -100,5 +103,9 @@ mod tests {
         assert!(TransactionError::dead_object("service killed").is_dead_object());
         assert!(!TransactionError::UnknownCode(7).is_dead_object());
         assert!(!TransactionError::BadParcel("x".into()).is_dead_object());
+        assert!(matches!(
+            TransactionError::from(ReadParcelError::UnexpectedEnd),
+            TransactionError::BadParcel(Cow::Borrowed(_))
+        ));
     }
 }

@@ -127,7 +127,7 @@ impl Device {
     }
 
     /// Sends a Binder transaction to a HAL service.
-    pub fn transact(&mut self, descriptor: &str, txn: Transaction) -> TransactionResult {
+    pub fn transact(&mut self, descriptor: &str, txn: &Transaction) -> TransactionResult {
         self.hal.transact(&mut self.kernel, descriptor, txn)
     }
 
@@ -149,6 +149,12 @@ impl Device {
         self.hal.is_alive(descriptor)
     }
 
+    /// Whether every HAL service is alive: one pass over the runtime's
+    /// service slots, with no descriptor copies or lookups.
+    pub fn all_hal_alive(&self) -> bool {
+        self.hal.all_alive()
+    }
+
     /// Fault injection: kills a HAL service *silently* (no crash report,
     /// unlike a crash observed mid-transaction). Subsequent calls to it
     /// fail with `DEAD_OBJECT`; a reboot revives it. Returns `false` for
@@ -165,7 +171,8 @@ impl Device {
     }
 
     /// Descriptors of all registered HAL services, in sorted order
-    /// (deterministic — fault victims are picked by index into this).
+    /// (deterministic — fault victims are picked by index into this). For
+    /// a liveness check use [`all_hal_alive`](Self::all_hal_alive).
     pub fn hal_descriptors(&self) -> Vec<String> {
         self.service_manager().list().iter().map(|s| (*s).to_owned()).collect()
     }
@@ -215,17 +222,17 @@ mod tests {
         let mut dev = catalog::device_c1().boot();
         // Crash the camera HAL (bug #9 armed on C1).
         let d = "android.hardware.camera.provider@2.6::ICameraProvider/internal/0";
-        dev.transact(d, Transaction::new(simhal::services::camera::OPEN_SESSION, Parcel::new()))
+        dev.transact(d, &Transaction::new(simhal::services::camera::OPEN_SESSION, Parcel::new()))
             .unwrap();
         let mut p = Parcel::new();
         p.write_i32(1).write_i32(640).write_i32(480);
-        dev.transact(d, Transaction::new(simhal::services::camera::CONFIGURE_STREAMS, p))
+        dev.transact(d, &Transaction::new(simhal::services::camera::CONFIGURE_STREAMS, p))
             .unwrap();
-        dev.transact(d, Transaction::new(simhal::services::camera::CLOSE_SESSION, Parcel::new()))
+        dev.transact(d, &Transaction::new(simhal::services::camera::CLOSE_SESSION, Parcel::new()))
             .unwrap();
         let err = dev.transact(
             d,
-            Transaction::new(simhal::services::camera::PROCESS_CAPTURE_REQUEST, Parcel::new()),
+            &Transaction::new(simhal::services::camera::PROCESS_CAPTURE_REQUEST, Parcel::new()),
         );
         assert!(err.is_err());
         assert!(!dev.hal_alive(d));
@@ -238,6 +245,37 @@ mod tests {
         assert!(dev.hal_alive(d));
         assert_eq!(dev.kernel_ref().global_coverage().len(), 0);
         assert_eq!(dev.boot_count(), 2);
+    }
+
+    #[test]
+    fn service_manager_list_and_runtime_slots_agree_on_every_device() {
+        for spec in catalog::all_devices() {
+            let id = spec.meta.id.clone();
+            let dev = spec.boot();
+            // Every listed descriptor resolves to its own slot, and no
+            // slot is unlisted: `all_hal_alive` (over slots) and a check
+            // of each listed descriptor see the same services.
+            let listed = dev.service_manager().list();
+            let mut tags: Vec<u32> =
+                listed.iter().map(|d| dev.hal_tag(d).expect("listed service has a slot")).collect();
+            tags.sort_unstable();
+            tags.dedup();
+            assert_eq!(tags.len(), listed.len(), "device {id}: descriptors share a slot");
+            assert_eq!(dev.hal.len(), listed.len(), "device {id}: unlisted slot");
+            assert!(dev.all_hal_alive(), "device {id}");
+        }
+    }
+
+    #[test]
+    fn all_hal_alive_tracks_every_service() {
+        let mut dev = catalog::device_a1().boot();
+        for victim in dev.hal_descriptors() {
+            assert!(dev.all_hal_alive());
+            assert!(dev.kill_hal_service(&victim));
+            assert!(!dev.all_hal_alive(), "{victim} is dead");
+            dev.reboot();
+        }
+        assert!(dev.all_hal_alive());
     }
 
     #[test]
@@ -266,7 +304,7 @@ mod tests {
         let pid = dev.kernel().spawn_process(simkernel::trace::Origin::Native);
         let ret = dev
             .kernel()
-            .syscall(pid, simkernel::Syscall::Openat { path: "/dev/tcpc0".into() });
+            .syscall(pid, simkernel::Syscall::Openat { path: "/dev/tcpc0" });
         assert!(matches!(ret, simkernel::SyscallRet::Err(_)));
         dev.reboot();
         assert!(!dev.is_wedged());

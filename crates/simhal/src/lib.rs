@@ -33,7 +33,7 @@
 //! let mut args = Parcel::new();
 //! args.write_i32(0).write_i32(200);
 //! let descriptor = hal.service_manager().list()[0].to_owned();
-//! hal.transact(&mut kernel, &descriptor, Transaction::new(1, args))?;
+//! hal.transact(&mut kernel, &descriptor, &Transaction::new(1, args))?;
 //! # Ok(())
 //! # }
 //! ```

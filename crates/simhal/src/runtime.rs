@@ -71,6 +71,12 @@ impl HalRuntime {
             == Some(true)
     }
 
+    /// Whether every registered service process is alive: one pass over
+    /// the service slots.
+    pub fn all_alive(&self) -> bool {
+        self.slots.iter().all(|s| s.alive)
+    }
+
     /// Routes a transaction to a service.
     ///
     /// # Errors
@@ -83,7 +89,7 @@ impl HalRuntime {
         &mut self,
         kernel: &mut Kernel,
         descriptor: &str,
-        txn: Transaction,
+        txn: &Transaction,
     ) -> TransactionResult {
         let Some(slot) = self.slots.iter_mut().find(|s| s.descriptor == descriptor) else {
             return Err(TransactionError::DeadObject { reason: "no such service".into() });
@@ -92,7 +98,7 @@ impl HalRuntime {
             return Err(TransactionError::DeadObject { reason: "service has died".into() });
         }
         let mut handle = KernelHandle::new(kernel, slot.pid);
-        let result = slot.svc.on_transact(&mut handle, &txn);
+        let result = slot.svc.on_transact(&mut handle, txn);
         if let Err(TransactionError::DeadObject { reason }) = &result {
             slot.alive = false;
             self.crashes.push(BugReport {
@@ -218,13 +224,13 @@ mod tests {
         let mut rt = HalRuntime::new();
         rt.register(&mut kernel, Box::new(Crashy { calls: 0 }));
         let d = "test.crashy@1.0::ICrashy/default";
-        assert!(rt.transact(&mut kernel, d, Transaction::new(1, Parcel::new())).is_ok());
+        assert!(rt.transact(&mut kernel, d, &Transaction::new(1, Parcel::new())).is_ok());
         assert!(rt.is_alive(d));
-        let err = rt.transact(&mut kernel, d, Transaction::new(2, Parcel::new()));
+        let err = rt.transact(&mut kernel, d, &Transaction::new(2, Parcel::new()));
         assert!(matches!(err, Err(TransactionError::DeadObject { .. })));
         assert!(!rt.is_alive(d));
         // Subsequent calls fail without re-recording a crash.
-        let err2 = rt.transact(&mut kernel, d, Transaction::new(1, Parcel::new()));
+        let err2 = rt.transact(&mut kernel, d, &Transaction::new(1, Parcel::new()));
         assert!(matches!(err2, Err(TransactionError::DeadObject { .. })));
         let crashes = rt.take_crashes();
         assert_eq!(crashes.len(), 1);
@@ -239,11 +245,11 @@ mod tests {
         let mut rt = HalRuntime::new();
         rt.register(&mut kernel, Box::new(Crashy { calls: 0 }));
         let d = "test.crashy@1.0::ICrashy/default";
-        rt.transact(&mut kernel, d, Transaction::new(2, Parcel::new())).unwrap_err();
+        rt.transact(&mut kernel, d, &Transaction::new(2, Parcel::new())).unwrap_err();
         assert!(!rt.is_alive(d));
         rt.reboot(&mut kernel);
         assert!(rt.is_alive(d));
-        assert!(rt.transact(&mut kernel, d, Transaction::new(1, Parcel::new())).is_ok());
+        assert!(rt.transact(&mut kernel, d, &Transaction::new(1, Parcel::new())).is_ok());
     }
 
     #[test]
@@ -254,7 +260,7 @@ mod tests {
         let d = "test.crashy@1.0::ICrashy/default";
         assert!(rt.kill_service(&mut kernel, d));
         assert!(!rt.is_alive(d));
-        let err = rt.transact(&mut kernel, d, Transaction::new(1, Parcel::new()));
+        let err = rt.transact(&mut kernel, d, &Transaction::new(1, Parcel::new()));
         assert!(matches!(err, Err(TransactionError::DeadObject { .. })));
         assert!(rt.take_crashes().is_empty(), "spontaneous death leaves no report");
         // Idempotent: a dead or unknown service cannot be killed again.
@@ -269,7 +275,7 @@ mod tests {
     fn unknown_service_is_dead_object() {
         let mut kernel = Kernel::new();
         let mut rt = HalRuntime::new();
-        let err = rt.transact(&mut kernel, "nope", Transaction::new(1, Parcel::new()));
+        let err = rt.transact(&mut kernel, "nope", &Transaction::new(1, Parcel::new()));
         assert!(matches!(err, Err(TransactionError::DeadObject { .. })));
     }
 

@@ -21,7 +21,7 @@ impl<'a> KernelHandle<'a> {
     }
 
     /// Issues a syscall as the service process.
-    pub fn sys(&mut self, call: Syscall) -> SyscallRet {
+    pub fn sys(&mut self, call: Syscall<'_>) -> SyscallRet {
         self.kernel.syscall(self.pid, call)
     }
 
@@ -71,7 +71,7 @@ mod tests {
         {
             let mut handle = KernelHandle::new(&mut kernel, pid);
             assert_eq!(handle.pid(), pid);
-            handle.sys(Syscall::Openat { path: "/dev/thermal".into() });
+            handle.sys(Syscall::Openat { path: "/dev/thermal" });
         }
         let events = kernel.trace_drain(tid);
         assert_eq!(events.len(), 1);

@@ -74,12 +74,12 @@ impl HalService for AudioHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: pcm::PCM_HW_PARAMS,
-                        arg: words(&[rate, channels, 2]),
+                        arg: words([rate, channels, 2]).as_flattened(),
                     }),
                     "hw params",
                 )?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_PREPARE, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_PREPARE, arg: &[] }),
                     "prepare",
                 )?;
                 self.stream_open = true;
@@ -89,7 +89,7 @@ impl HalService for AudioHal {
                 let blob = r.read_blob()?;
                 let fd = self.stream()?;
                 let n = expect_ok(
-                    sys.sys(Syscall::Write { fd, data: blob.to_vec() }),
+                    sys.sys(Syscall::Write { fd, data: blob }),
                     "write",
                 )?;
                 let mut reply = Parcel::new();
@@ -99,7 +99,7 @@ impl HalService for AudioHal {
             PAUSE => {
                 let fd = self.stream()?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_PAUSE, arg: words(&[1]) }),
+                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_PAUSE, arg: words([1]).as_flattened() }),
                     "pause",
                 )?;
                 Ok(Parcel::new())
@@ -107,7 +107,7 @@ impl HalService for AudioHal {
             RESUME => {
                 let fd = self.stream()?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_PAUSE, arg: words(&[0]) }),
+                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_PAUSE, arg: words([0]).as_flattened() }),
                     "resume",
                 )?;
                 Ok(Parcel::new())
@@ -115,7 +115,7 @@ impl HalService for AudioHal {
             STANDBY => {
                 let fd = self.stream()?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_DRAIN, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: pcm::PCM_DRAIN, arg: &[] }),
                     "drain",
                 )?;
                 Ok(Parcel::new())
@@ -157,15 +157,15 @@ mod tests {
         let (mut k, mut rt) = setup();
         let mut p = Parcel::new();
         p.write_i32(48000).write_i32(2);
-        rt.transact(&mut k, DESC, Transaction::new(OPEN_OUTPUT_STREAM, p)).unwrap();
+        rt.transact(&mut k, DESC, &Transaction::new(OPEN_OUTPUT_STREAM, p)).unwrap();
         let mut p = Parcel::new();
         p.write_blob(vec![0u8; 256]);
-        let reply = rt.transact(&mut k, DESC, Transaction::new(WRITE_FRAMES, p)).unwrap();
+        let reply = rt.transact(&mut k, DESC, &Transaction::new(WRITE_FRAMES, p)).unwrap();
         assert_eq!(reply.reader().read_i32().unwrap(), 256);
-        rt.transact(&mut k, DESC, Transaction::new(PAUSE, Parcel::new())).unwrap();
-        rt.transact(&mut k, DESC, Transaction::new(RESUME, Parcel::new())).unwrap();
-        rt.transact(&mut k, DESC, Transaction::new(STANDBY, Parcel::new())).unwrap();
-        rt.transact(&mut k, DESC, Transaction::new(CLOSE_STREAM, Parcel::new())).unwrap();
+        rt.transact(&mut k, DESC, &Transaction::new(PAUSE, Parcel::new())).unwrap();
+        rt.transact(&mut k, DESC, &Transaction::new(RESUME, Parcel::new())).unwrap();
+        rt.transact(&mut k, DESC, &Transaction::new(STANDBY, Parcel::new())).unwrap();
+        rt.transact(&mut k, DESC, &Transaction::new(CLOSE_STREAM, Parcel::new())).unwrap();
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
         let (mut k, mut rt) = setup();
         let mut p = Parcel::new();
         p.write_blob(vec![0u8; 4]);
-        let err = rt.transact(&mut k, DESC, Transaction::new(WRITE_FRAMES, p)).unwrap_err();
+        let err = rt.transact(&mut k, DESC, &Transaction::new(WRITE_FRAMES, p)).unwrap_err();
         assert!(matches!(err, TransactionError::InvalidOperation(_)));
     }
 }

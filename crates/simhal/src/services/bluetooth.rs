@@ -112,13 +112,13 @@ impl HalService for BluetoothHal {
                     let fd = sys
                         .sys(Syscall::Socket { domain: af::BLUETOOTH, ty: 3, proto: btproto::HCI })
                         .fd()
-                        .map_err(|e| TransactionError::InvalidOperation(format!("socket: {e}")))?;
+                        .map_err(|e| TransactionError::InvalidOperation(format!("socket: {e}").into()))?;
                     expect_ok(sys.sys(Syscall::Bind { fd, addr: 0 }), "bind")?;
                     // Upload the vendor controller firmware (the HAL ships
                     // the blob; bring-up fails without it).
-                    let mut blob = bt::FIRMWARE_MAGIC.to_vec();
-                    blob.extend_from_slice(&[0u8; 60]);
-                    expect_ok(sys.sys(Syscall::Write { fd, data: blob }), "firmware")?;
+                    let mut blob = [0u8; bt::FIRMWARE_MAGIC.len() + 60];
+                    blob[..bt::FIRMWARE_MAGIC.len()].copy_from_slice(&bt::FIRMWARE_MAGIC);
+                    expect_ok(sys.sys(Syscall::Write { fd, data: &blob }), "firmware")?;
                     self.hci_fd = Some(fd);
                 }
                 let fd = self.hci().expect("just set");
@@ -126,7 +126,7 @@ impl HalService for BluetoothHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: bt::HCIDEVUP,
-                        arg: words(&[mode as u32]),
+                        arg: words([mode as u32]).as_flattened(),
                     }),
                     "hci up",
                 )?;
@@ -135,7 +135,7 @@ impl HalService for BluetoothHal {
             COMPLETE_SETUP => {
                 let fd = self.hci()?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: bt::HCIDEVSETUP, arg: words(&[0]) }),
+                    sys.sys(Syscall::Ioctl { fd, request: bt::HCIDEVSETUP, arg: words([0]).as_flattened() }),
                     "hci setup",
                 )?;
                 Ok(Parcel::new())
@@ -143,7 +143,7 @@ impl HalService for BluetoothHal {
             READ_SUPPORTED_CODECS => {
                 let fd = self.hci()?;
                 let n = expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: bt::HCIREADCODECS, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: bt::HCIREADCODECS, arg: &[] }),
                     "read codecs",
                 )?;
                 let mut reply = Parcel::new();
@@ -157,7 +157,7 @@ impl HalService for BluetoothHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: bt::HCIINQUIRY,
-                        arg: words(&[duration]),
+                        arg: words([duration]).as_flattened(),
                     }),
                     "inquiry",
                 )?;
@@ -181,7 +181,7 @@ impl HalService for BluetoothHal {
                         proto: btproto::L2CAP,
                     })
                     .fd()
-                    .map_err(|e| TransactionError::InvalidOperation(format!("socket: {e}")))?;
+                    .map_err(|e| TransactionError::InvalidOperation(format!("socket: {e}").into()))?;
                 expect_ok(sys.sys(Syscall::Connect { fd, addr: addr as u64 }), "connect")?;
                 self.channel_fd = Some(fd);
                 Ok(Parcel::new())
@@ -191,7 +191,7 @@ impl HalService for BluetoothHal {
                     TransactionError::InvalidOperation("no channel".into())
                 })?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: bt::L2CAP_DISCONN_REQ, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: bt::L2CAP_DISCONN_REQ, arg: &[] }),
                     "disconnect",
                 )?;
                 let _ = sys.sys(Syscall::Close { fd });
@@ -209,7 +209,7 @@ impl HalService for BluetoothHal {
                 let fd = sys
                     .sys(Syscall::Socket { domain: af::BLUETOOTH, ty: 1, proto: btproto::L2CAP })
                     .fd()
-                    .map_err(|e| TransactionError::InvalidOperation(format!("socket: {e}")))?;
+                    .map_err(|e| TransactionError::InvalidOperation(format!("socket: {e}").into()))?;
                 expect_ok(sys.sys(Syscall::Bind { fd, addr: psm as u64 }), "bind")?;
                 expect_ok(sys.sys(Syscall::Listen { fd, backlog: 2 }), "listen")?;
                 self.server_fd = Some(fd);
@@ -222,7 +222,7 @@ impl HalService for BluetoothHal {
                 let client = sys
                     .sys(Syscall::Accept { fd })
                     .fd()
-                    .map_err(|e| TransactionError::InvalidOperation(format!("accept: {e}")))?;
+                    .map_err(|e| TransactionError::InvalidOperation(format!("accept: {e}").into()))?;
                 if let Some(old) = self.client_fd.replace(client) {
                     let _ = sys.sys(Syscall::Close { fd: old });
                 }
@@ -245,7 +245,7 @@ impl HalService for BluetoothHal {
             DISABLE => {
                 let fd = self.hci()?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: bt::HCIDEVDOWN, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: bt::HCIDEVDOWN, arg: &[] }),
                     "hci down",
                 )?;
                 let _ = sys.sys(Syscall::Close { fd });
@@ -258,7 +258,7 @@ impl HalService for BluetoothHal {
                     TransactionError::InvalidOperation("no channel".into())
                 })?;
                 let n = expect_ok(
-                    sys.sys(Syscall::Write { fd, data: blob.to_vec() }),
+                    sys.sys(Syscall::Write { fd, data: blob }),
                     "send",
                 )?;
                 let mut reply = Parcel::new();
@@ -292,7 +292,7 @@ mod tests {
     }
 
     fn call(k: &mut Kernel, rt: &mut HalRuntime, code: u32, args: Parcel) -> TransactionResult {
-        rt.transact(k, DESC, Transaction::new(code, args))
+        rt.transact(k, DESC, &Transaction::new(code, args))
     }
 
     fn i32_parcel(v: i32) -> Parcel {

@@ -101,7 +101,7 @@ impl HalService for CameraHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: v4l2::VIDIOC_S_FMT,
-                        arg: words(&[w, h, v4l2::PIXFMTS[0]]),
+                        arg: words([w, h, v4l2::PIXFMTS[0]]).as_flattened(),
                     }),
                     "set format",
                 )?;
@@ -109,7 +109,7 @@ impl HalService for CameraHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: v4l2::VIDIOC_REQBUFS,
-                        arg: words(&[n as u32 * 2]),
+                        arg: words([n as u32 * 2]).as_flattened(),
                     }),
                     "request buffers",
                 )?;
@@ -138,19 +138,19 @@ impl HalService for CameraHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: v4l2::VIDIOC_QBUF,
-                        arg: words(&[slot]),
+                        arg: words([slot]).as_flattened(),
                     }),
                     "queue buffer",
                 )?;
                 if !self.streaming {
                     expect_ok(
-                        sys.sys(Syscall::Ioctl { fd, request: v4l2::VIDIOC_STREAMON, arg: vec![] }),
+                        sys.sys(Syscall::Ioctl { fd, request: v4l2::VIDIOC_STREAMON, arg: &[] }),
                         "stream on",
                     )?;
                     self.streaming = true;
                 }
                 let idx = expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: v4l2::VIDIOC_DQBUF, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: v4l2::VIDIOC_DQBUF, arg: &[] }),
                     "dequeue buffer",
                 )?;
                 self.requests += 1;
@@ -164,7 +164,7 @@ impl HalService for CameraHal {
                 }
                 let fd = self.fd.expect("session implies fd");
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: v4l2::VIDIOC_STREAMOFF, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: v4l2::VIDIOC_STREAMOFF, arg: &[] }),
                     "stream off",
                 )?;
                 self.streaming = false;
@@ -179,7 +179,7 @@ impl HalService for CameraHal {
                     let _ = sys.sys(Syscall::Ioctl {
                         fd,
                         request: v4l2::VIDIOC_STREAMOFF,
-                        arg: vec![],
+                        arg: &[],
                     });
                     self.streaming = false;
                 }
@@ -189,7 +189,7 @@ impl HalService for CameraHal {
                 let _ = sys.sys(Syscall::Ioctl {
                     fd,
                     request: v4l2::VIDIOC_REQBUFS,
-                    arg: words(&[0]),
+                    arg: words([0]).as_flattened(),
                 });
                 self.streams = 0;
                 self.torn_down = true;
@@ -221,7 +221,7 @@ mod tests {
     }
 
     fn call(k: &mut Kernel, rt: &mut HalRuntime, code: u32, args: Parcel) -> TransactionResult {
-        rt.transact(k, DESC, Transaction::new(code, args))
+        rt.transact(k, DESC, &Transaction::new(code, args))
     }
 
     fn configured(k: &mut Kernel, rt: &mut HalRuntime) {

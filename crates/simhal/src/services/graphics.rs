@@ -121,7 +121,7 @@ impl HalService for ComposerHal {
                     sys.sys(Syscall::Ioctl {
                         fd: drm_fd,
                         request: drm::DRM_MODE_SET,
-                        arg: words(&[1920, 1080, 60]),
+                        arg: words([1920, 1080, 60]).as_flattened(),
                     }),
                     "mode set",
                 )?;
@@ -130,7 +130,7 @@ impl HalService for ComposerHal {
                         sys.sys(Syscall::Ioctl {
                             fd: gpu_fd,
                             request: gpu::GPU_CREATE_CTX,
-                            arg: vec![],
+                            arg: &[],
                         }),
                         "gpu ctx",
                     )?;
@@ -168,7 +168,7 @@ impl HalService for ComposerHal {
                     sys.sys(Syscall::Ioctl {
                         fd: ion_fd,
                         request: ion::ION_ALLOC,
-                        arg: words(&[size_kb as u32 * 1024, 1, 0]),
+                        arg: words([size_kb as u32 * 1024, 1, 0]).as_flattened(),
                     }),
                     "ion alloc",
                 )?;
@@ -176,7 +176,7 @@ impl HalService for ComposerHal {
                     sys.sys(Syscall::Ioctl {
                         fd: ion_fd,
                         request: ion::ION_SHARE,
-                        arg: words(&[handle as u32]),
+                        arg: words([handle as u32]).as_flattened(),
                     }),
                     "ion share",
                 )? as u32;
@@ -184,7 +184,7 @@ impl HalService for ComposerHal {
                     sys.sys(Syscall::Ioctl {
                         fd: drm_fd,
                         request: drm::DRM_CREATE_FB,
-                        arg: words(&[token]),
+                        arg: words([token]).as_flattened(),
                     }),
                     "create fb",
                 )? as u32;
@@ -211,7 +211,7 @@ impl HalService for ComposerHal {
                     sys.sys(Syscall::Ioctl {
                         fd: ion_fd,
                         request: ion::ION_FREE,
-                        arg: words(&[token & 0xFFFF]),
+                        arg: words([token & 0xFFFF]).as_flattened(),
                     }),
                     "ion free",
                 )?;
@@ -223,17 +223,13 @@ impl HalService for ComposerHal {
                 let drm_fd = self.drm_fd.expect("initialized");
                 let gpu_fd = self.gpu_fd.expect("initialized");
                 let gpu_ctx = self.gpu_ctx.expect("initialized");
-                let live: Vec<Layer> = self
-                    .layers
-                    .iter()
-                    .copied()
-                    .filter(|l| l.fb.is_some())
-                    .collect();
-                if live.is_empty() {
+                let live = || self.layers.iter().filter(|l| l.fb.is_some());
+                let live_count = live().count();
+                if live_count == 0 {
                     return Err(TransactionError::InvalidOperation("nothing to present".into()));
                 }
-                let any_detached = live.iter().any(|l| l.detached);
-                if any_detached && live.len() >= 3 && self.crash_armed {
+                let any_detached = live().any(|l| l.detached);
+                if any_detached && live_count >= 3 && self.crash_armed {
                     // Bug #2: the batched-commit path walks the stale
                     // buffer pointer of the detached layer.
                     return Err(native_crash("Native crash in Graphics HAL (redacted)"));
@@ -243,13 +239,13 @@ impl HalService for ComposerHal {
                 // chain depth is 2 × the live layer count, and kernel bug
                 // #3's subclass limit is reached at 4 buffered layers.
                 let mut parent = 0u32;
-                'import: for layer in live.iter().filter(|l| !l.detached) {
+                'import: for layer in live().filter(|l| !l.detached) {
                     let token = layer.token.expect("attached layer has token");
                     for _ in 0..2 {
                         match sys.sys(Syscall::Ioctl {
                             fd: gpu_fd,
                             request: gpu::GPU_IMPORT,
-                            arg: words(&[gpu_ctx, token, parent]),
+                            arg: words([gpu_ctx, token, parent]).as_flattened(),
                         }) {
                             simkernel::SyscallRet::Ok(id) => parent = id as u32,
                             // Import-chain failure (e.g. subclass limit):
@@ -258,21 +254,21 @@ impl HalService for ComposerHal {
                         }
                     }
                 }
-                let planes = live.len().min(8) as u32;
+                let planes = live_count.min(8) as u32;
                 expect_ok(
                     sys.sys(Syscall::Ioctl {
                         fd: drm_fd,
                         request: drm::DRM_PLANE_COMMIT,
-                        arg: words(&[planes, 0x1]),
+                        arg: words([planes, 0x1]).as_flattened(),
                     }),
                     "plane commit",
                 )?;
-                if let Some(fb) = live.iter().rev().find_map(|l| l.fb) {
+                if let Some(fb) = live().rev().find_map(|l| l.fb) {
                     expect_ok(
                         sys.sys(Syscall::Ioctl {
                             fd: drm_fd,
                             request: drm::DRM_PAGE_FLIP,
-                            arg: words(&[fb]),
+                            arg: words([fb]).as_flattened(),
                         }),
                         "page flip",
                     )?;
@@ -297,7 +293,7 @@ impl HalService for ComposerHal {
                     let _ = sys.sys(Syscall::Ioctl {
                         fd: drm_fd,
                         request: drm::DRM_DESTROY_FB,
-                        arg: words(&[fb]),
+                        arg: words([fb]).as_flattened(),
                     });
                 }
                 Ok(Parcel::new())
@@ -312,7 +308,10 @@ impl HalService for ComposerHal {
     }
 
     fn reset(&mut self) {
-        *self = Self::new(self.crash_armed);
+        // Keep the layer table's storage for the next client.
+        let mut layers = std::mem::take(&mut self.layers);
+        layers.clear();
+        *self = Self { layers, ..Self::new(self.crash_armed) };
     }
 }
 
@@ -347,7 +346,7 @@ mod tests {
     }
 
     fn call(k: &mut Kernel, rt: &mut HalRuntime, code: u32, args: Parcel) -> TransactionResult {
-        rt.transact(k, DESC, Transaction::new(code, args))
+        rt.transact(k, DESC, &Transaction::new(code, args))
     }
 
     fn create_buffered_layer(k: &mut Kernel, rt: &mut HalRuntime) -> i32 {

@@ -58,7 +58,7 @@ impl HalService for LightsHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: leds::LED_SET_BRIGHTNESS,
-                        arg: words(&[id as u32, level as u32]),
+                        arg: words([id as u32, level as u32]).as_flattened(),
                     }),
                     "set brightness",
                 )?;
@@ -75,7 +75,7 @@ impl HalService for LightsHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: leds::LED_SET_BLINK,
-                        arg: words(&[id as u32, on, off]),
+                        arg: words([id as u32, on, off]).as_flattened(),
                     }),
                     "blink",
                 )?;
@@ -107,7 +107,7 @@ mod tests {
         rt.transact(
             &mut kernel,
             "android.hardware.lights@2.0::ILight/default",
-            Transaction::new(SET_LIGHT, p),
+            &Transaction::new(SET_LIGHT, p),
         )
         .unwrap();
         assert!(kernel.global_coverage().len() > 1);

@@ -108,7 +108,7 @@ impl HalService for MediaHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: vcodec::VC_CONFIGURE,
-                        arg: words(&[codec, w, h]),
+                        arg: words([codec, w, h]).as_flattened(),
                     }),
                     "configure",
                 )?;
@@ -119,7 +119,7 @@ impl HalService for MediaHal {
                     TransactionError::InvalidOperation("no component".into())
                 })?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_START, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_START, arg: &[] }),
                     "start",
                 )?;
                 self.running = true;
@@ -139,7 +139,7 @@ impl HalService for MediaHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: vcodec::VC_QUEUE_IN,
-                        arg: words(&[len]),
+                        arg: words([len]).as_flattened(),
                     }),
                     "queue input",
                 )?;
@@ -155,7 +155,7 @@ impl HalService for MediaHal {
                 }
                 let fd = self.fd.expect("running implies fd");
                 let frame = expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_DEQUEUE_OUT, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_DEQUEUE_OUT, arg: &[] }),
                     "dequeue",
                 )?;
                 self.out_pending = self.out_pending.saturating_sub(1);
@@ -176,7 +176,7 @@ impl HalService for MediaHal {
                 }
                 let fd = self.fd.expect("running implies fd");
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_FLUSH, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_FLUSH, arg: &[] }),
                     "flush",
                 )?;
                 self.out_pending = 0;
@@ -190,7 +190,7 @@ impl HalService for MediaHal {
                 }
                 let fd = self.fd.expect("running implies fd");
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_DRAIN, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_DRAIN, arg: &[] }),
                     "drain",
                 )?;
                 self.draining = true;
@@ -201,7 +201,7 @@ impl HalService for MediaHal {
                     TransactionError::InvalidOperation("no component".into())
                 })?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_STOP, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: vcodec::VC_STOP, arg: &[] }),
                     "stop",
                 )?;
                 self.running = false;
@@ -247,7 +247,7 @@ mod tests {
     }
 
     fn call(k: &mut Kernel, rt: &mut HalRuntime, code: u32, args: Parcel) -> TransactionResult {
-        rt.transact(k, DESC, Transaction::new(code, args))
+        rt.transact(k, DESC, &Transaction::new(code, args))
     }
 
     fn to_running(k: &mut Kernel, rt: &mut HalRuntime) {

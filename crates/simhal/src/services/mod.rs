@@ -29,14 +29,14 @@ pub(crate) fn ensure_open(
     if let Some(fd) = *slot {
         return Ok(fd);
     }
-    match sys.sys(Syscall::Openat { path: path.to_owned() }) {
+    match sys.sys(Syscall::Openat { path }) {
         SyscallRet::NewFd(fd) => {
             *slot = Some(fd);
             Ok(fd)
         }
-        SyscallRet::Err(e) => Err(TransactionError::InvalidOperation(format!(
-            "open {path}: {e}"
-        ))),
+        SyscallRet::Err(e) => Err(TransactionError::InvalidOperation(
+            format!("open {path}: {e}").into(),
+        )),
         _ => Err(TransactionError::InvalidOperation("open returned no fd".into())),
     }
 }
@@ -45,12 +45,14 @@ pub(crate) fn ensure_open(
 /// errors into `INVALID_OPERATION` Binder statuses.
 pub(crate) fn expect_ok(ret: SyscallRet, what: &str) -> Result<u64, TransactionError> {
     match ret {
-        SyscallRet::Err(e) => Err(TransactionError::InvalidOperation(format!("{what}: {e}"))),
+        SyscallRet::Err(e) => Err(TransactionError::InvalidOperation(format!("{what}: {e}").into())),
         other => Ok(other.ok().unwrap_or(0)),
     }
 }
 
-/// Encodes `words` as an ioctl argument buffer.
-pub(crate) fn words(ws: &[u32]) -> Vec<u8> {
-    simkernel::driver::encode_words(ws)
+/// Encodes `ws` as an ioctl argument buffer on the stack, in the byte
+/// order of [`simkernel::driver::encode_words`]; callers borrow it with
+/// `as_flattened`.
+pub(crate) fn words<const N: usize>(ws: [u32; N]) -> [[u8; 4]; N] {
+    ws.map(u32::to_le_bytes)
 }

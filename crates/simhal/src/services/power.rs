@@ -56,7 +56,7 @@ impl HalService for PowerHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: thermal::TH_SET_COOLING,
-                        arg: words(&[mode as u32]),
+                        arg: words([mode as u32]).as_flattened(),
                     }),
                     "cooling",
                 )?;
@@ -69,7 +69,7 @@ impl HalService for PowerHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: thermal::TH_SET_TRIP,
-                        arg: words(&[0, 80_000 + level * 10_000]),
+                        arg: words([0, 80_000 + level * 10_000]).as_flattened(),
                     }),
                     "trip",
                 )?;
@@ -84,7 +84,7 @@ impl HalService for PowerHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: thermal::TH_GET_TEMP,
-                        arg: words(&[zone as u32]),
+                        arg: words([zone as u32]).as_flattened(),
                     }),
                     "temp",
                 )?;
@@ -116,10 +116,10 @@ mod tests {
         let desc = "android.hardware.power@1.3::IPower/default";
         let mut p = Parcel::new();
         p.write_i32(1);
-        let reply = rt.transact(&mut kernel, desc, Transaction::new(GET_TEMPERATURE, p)).unwrap();
+        let reply = rt.transact(&mut kernel, desc, &Transaction::new(GET_TEMPERATURE, p)).unwrap();
         assert!(reply.reader().read_i32().unwrap() >= 40_000);
         let mut p = Parcel::new();
         p.write_i32(2);
-        rt.transact(&mut kernel, desc, Transaction::new(SET_MODE, p)).unwrap();
+        rt.transact(&mut kernel, desc, &Transaction::new(SET_MODE, p)).unwrap();
     }
 }

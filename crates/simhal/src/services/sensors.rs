@@ -72,7 +72,7 @@ impl HalService for SensorsHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: sensorhub::SH_ACTIVATE,
-                        arg: words(&[id as u32, on as u32]),
+                        arg: words([id as u32, on as u32]).as_flattened(),
                     }),
                     "activate",
                 )?;
@@ -89,7 +89,7 @@ impl HalService for SensorsHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: sensorhub::SH_SET_DELAY,
-                        arg: words(&[id as u32, delay]),
+                        arg: words([id as u32, delay]).as_flattened(),
                     }),
                     "batch",
                 )?;
@@ -104,7 +104,7 @@ impl HalService for SensorsHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: sensorhub::SH_FLUSH,
-                        arg: words(&[id as u32]),
+                        arg: words([id as u32]).as_flattened(),
                     }),
                     "flush",
                 )?;
@@ -122,7 +122,7 @@ impl HalService for SensorsHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: sensorhub::SH_CALIBRATE,
-                        arg: words(&[mode as u32, step as u32]),
+                        arg: words([mode as u32, step as u32]).as_flattened(),
                     }),
                     "calibrate",
                 )?;
@@ -133,7 +133,7 @@ impl HalService for SensorsHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: sensorhub::SH_READ_EVENT,
-                        arg: vec![],
+                        arg: &[],
                     }),
                     "poll",
                 )?;
@@ -175,7 +175,7 @@ mod tests {
         for &v in vals {
             p.write_i32(v);
         }
-        rt.transact(k, DESC, Transaction::new(code, p))
+        rt.transact(k, DESC, &Transaction::new(code, p))
     }
 
     #[test]

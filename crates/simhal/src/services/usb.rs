@@ -74,7 +74,7 @@ impl HalService for UsbHal {
         match txn.code {
             QUERY_PORT_STATUS => {
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_GET_STATUS, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_GET_STATUS, arg: &[] }),
                     "status",
                 )?;
                 Ok(Parcel::new())
@@ -83,11 +83,11 @@ impl HalService for UsbHal {
                 let cc = r.read_i32()?.clamp(0, 3) as u32;
                 let vbus = r.read_i32()?.clamp(0, 1) as u32;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_SET_CC, arg: words(&[cc]) }),
+                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_SET_CC, arg: words([cc]).as_flattened() }),
                     "set cc",
                 )?;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_VBUS, arg: words(&[vbus]) }),
+                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_VBUS, arg: words([vbus]).as_flattened() }),
                     "vbus",
                 )?;
                 let mode = if cc >= 2 { 2 } else { 1 };
@@ -95,7 +95,7 @@ impl HalService for UsbHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: tcpc::TCPC_ATTACH,
-                        arg: words(&[mode]),
+                        arg: words([mode]).as_flattened(),
                     }),
                     "attach",
                 )?;
@@ -103,14 +103,14 @@ impl HalService for UsbHal {
             }
             DETACH => {
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_DETACH, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_DETACH, arg: &[] }),
                     "detach",
                 )?;
                 Ok(Parcel::new())
             }
             SWITCH_POWER_ROLE => {
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_PR_SWAP, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_PR_SWAP, arg: &[] }),
                     "pr swap",
                 )?;
                 Ok(Parcel::new())
@@ -118,7 +118,7 @@ impl HalService for UsbHal {
             OVERRIDE_VBUS => {
                 let on = r.read_i32()?.clamp(0, 1) as u32;
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_VBUS, arg: words(&[on]) }),
+                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_VBUS, arg: words([on]).as_flattened() }),
                     "vbus",
                 )?;
                 Ok(Parcel::new())
@@ -135,7 +135,7 @@ impl HalService for UsbHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: tcpc::TCPC_I2C_XFER,
-                        arg: words(&[reg as u32, len as u32]),
+                        arg: words([reg as u32, len as u32]).as_flattened(),
                     }),
                     "i2c xfer",
                 )?;
@@ -143,7 +143,7 @@ impl HalService for UsbHal {
             }
             RECOVER_CONTROLLER => {
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_RESET_PROBE, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: tcpc::TCPC_RESET_PROBE, arg: &[] }),
                     "probe",
                 )?;
                 Ok(Parcel::new())
@@ -179,7 +179,7 @@ mod tests {
         for &v in vals {
             p.write_i32(v);
         }
-        rt.transact(k, DESC, Transaction::new(code, p))
+        rt.transact(k, DESC, &Transaction::new(code, p))
     }
 
     #[test]

@@ -63,14 +63,14 @@ impl HalService for WifiHal {
         match txn.code {
             START_SCAN => {
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: wlan::WL_SCAN_START, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: wlan::WL_SCAN_START, arg: &[] }),
                     "scan",
                 )?;
                 Ok(Parcel::new())
             }
             GET_SCAN_RESULTS => {
                 let n = expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: wlan::WL_SCAN_RESULTS, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: wlan::WL_SCAN_RESULTS, arg: &[] }),
                     "results",
                 )?;
                 let mut reply = Parcel::new();
@@ -83,7 +83,7 @@ impl HalService for WifiHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: wlan::WL_SET_RATES,
-                        arg: words(&[mask]),
+                        arg: words([mask]).as_flattened(),
                     }),
                     "set rates",
                 )?;
@@ -98,7 +98,7 @@ impl HalService for WifiHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: wlan::WL_CONNECT,
-                        arg: words(&[idx as u32]),
+                        arg: words([idx as u32]).as_flattened(),
                     }),
                     "connect",
                 )?;
@@ -106,7 +106,7 @@ impl HalService for WifiHal {
             }
             DISCONNECT => {
                 expect_ok(
-                    sys.sys(Syscall::Ioctl { fd, request: wlan::WL_DISCONNECT, arg: vec![] }),
+                    sys.sys(Syscall::Ioctl { fd, request: wlan::WL_DISCONNECT, arg: &[] }),
                     "disconnect",
                 )?;
                 Ok(Parcel::new())
@@ -117,7 +117,7 @@ impl HalService for WifiHal {
                     sys.sys(Syscall::Ioctl {
                         fd,
                         request: wlan::WL_SET_POWER,
-                        arg: words(&[level]),
+                        arg: words([level]).as_flattened(),
                     }),
                     "power",
                 )?;
@@ -154,7 +154,7 @@ mod tests {
         if let Some(v) = v {
             p.write_i32(v);
         }
-        rt.transact(k, DESC, Transaction::new(code, p))
+        rt.transact(k, DESC, &Transaction::new(code, p))
     }
 
     #[test]

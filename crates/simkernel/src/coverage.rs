@@ -59,8 +59,14 @@ pub fn mix64(mut x: u64) -> u64 {
 /// The same `(base, parts)` always maps to the same block, so coverage is
 /// reproducible across runs and across device reboots.
 pub fn block_for(base: u64, parts: &[u64]) -> Block {
+    block_for_chunks(base, &[parts])
+}
+
+/// [`block_for`] of the concatenation of `chunks`, without building it:
+/// lets a caller prefix or suffix a fingerprint with no buffer.
+pub fn block_for_chunks(base: u64, chunks: &[&[u64]]) -> Block {
     let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for &p in parts {
+    for &p in chunks.iter().copied().flatten() {
         acc = mix64(acc ^ p);
     }
     Block(base + acc % DRIVER_REGION)
@@ -192,6 +198,13 @@ impl KcovBuffer {
     pub fn disable_into(&mut self, out: &mut Vec<Block>) {
         self.enabled = false;
         out.append(&mut self.blocks);
+    }
+
+    /// Stops collecting and drops the buffered blocks, keeping the
+    /// allocation for whoever reuses this buffer next.
+    pub fn reset(&mut self) {
+        self.enabled = false;
+        self.blocks.clear();
     }
 
     /// Whether the buffer is currently recording.

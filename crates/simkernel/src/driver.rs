@@ -179,7 +179,7 @@ pub enum IoctlOut {
 pub trait CharDevice: Send {
     /// Short driver name (e.g. `"tcpc"`), used in logs and per-driver
     /// coverage accounting.
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// The `/dev/...` node this driver is mounted at.
     fn node(&self) -> String;

@@ -102,7 +102,7 @@ impl PcmDevice {
 }
 
 impl CharDevice for PcmDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "pcm"
     }
 

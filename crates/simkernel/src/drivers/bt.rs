@@ -10,7 +10,7 @@
 //! * **#11** `KASAN: slab-use-after-free in bt_accept_unlink` — touching an
 //!   accepted child socket after its listening parent was freed.
 
-use crate::coverage::block_for;
+use crate::coverage::block_for_chunks;
 use crate::driver::{word, DriverCtx, StateModel, Transition, WordGuard};
 use crate::errno::Errno;
 use crate::kernel::{HCI_COV_BASE, L2CAP_COV_BASE};
@@ -135,34 +135,26 @@ pub const L2CAP_SET_MODE: u32 = 0x4004_6C04;
 /// Records a block in the HCI coverage region (sockets have no devfs
 /// base, so the stack computes blocks itself).
 fn hci_hit(ctx: &mut DriverCtx<'_>, parts: &[u64]) {
-    let mut fp = vec![0xB7u64];
-    fp.extend_from_slice(parts);
-    ctx.hit_raw(block_for(HCI_COV_BASE, &fp));
+    ctx.hit_raw(block_for_chunks(HCI_COV_BASE, &[&[0xB7], parts]));
 }
 
 /// Records a block in the L2CAP coverage region.
 fn l2_hit(ctx: &mut DriverCtx<'_>, parts: &[u64]) {
-    let mut fp = vec![0x12u64];
-    fp.extend_from_slice(parts);
-    ctx.hit_raw(block_for(L2CAP_COV_BASE, &fp));
+    ctx.hit_raw(block_for_chunks(L2CAP_COV_BASE, &[&[0x12], parts]));
 }
 
 /// Weighted variant of [`hci_hit`]: deep controller paths execute many
 /// blocks.
 fn hci_hit_path(ctx: &mut DriverCtx<'_>, weight: u64, parts: &[u64]) {
     for i in 0..weight.max(1) {
-        let mut fp = parts.to_vec();
-        fp.push(0xCC00 + i);
-        hci_hit(ctx, &fp);
+        ctx.hit_raw(block_for_chunks(HCI_COV_BASE, &[&[0xB7], parts, &[0xCC00 + i]]));
     }
 }
 
 /// Weighted variant of [`l2_hit`].
 fn l2_hit_path(ctx: &mut DriverCtx<'_>, weight: u64, parts: &[u64]) {
     for i in 0..weight.max(1) {
-        let mut fp = parts.to_vec();
-        fp.push(0xCC00 + i);
-        l2_hit(ctx, &fp);
+        ctx.hit_raw(block_for_chunks(L2CAP_COV_BASE, &[&[0x12], parts, &[0xCC00 + i]]));
     }
 }
 

@@ -115,7 +115,7 @@ impl DrmDevice {
 }
 
 impl CharDevice for DrmDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "drm"
     }
 

@@ -177,7 +177,7 @@ impl GpuDevice {
 }
 
 impl CharDevice for GpuDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "gpu"
     }
 

@@ -50,7 +50,7 @@ impl I2cDevice {
 }
 
 impl CharDevice for I2cDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "i2c"
     }
 

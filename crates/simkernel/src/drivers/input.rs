@@ -52,7 +52,7 @@ impl InputDevice {
 }
 
 impl CharDevice for InputDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "input"
     }
 

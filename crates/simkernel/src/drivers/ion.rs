@@ -116,7 +116,7 @@ impl IonDevice {
 }
 
 impl CharDevice for IonDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "ion"
     }
 

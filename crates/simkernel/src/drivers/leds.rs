@@ -48,7 +48,7 @@ impl LedsDevice {
 }
 
 impl CharDevice for LedsDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "leds"
     }
 

@@ -134,7 +134,7 @@ impl SensorHubDevice {
 }
 
 impl CharDevice for SensorHubDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "sensorhub"
     }
 

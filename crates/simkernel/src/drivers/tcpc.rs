@@ -184,7 +184,7 @@ impl TcpcDevice {
 }
 
 impl CharDevice for TcpcDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "tcpc"
     }
 

@@ -55,7 +55,7 @@ impl Default for ThermalDevice {
 }
 
 impl CharDevice for ThermalDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "thermal"
     }
 

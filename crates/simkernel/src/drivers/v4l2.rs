@@ -150,7 +150,7 @@ impl V4l2Device {
 }
 
 impl CharDevice for V4l2Device {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "v4l2"
     }
 

@@ -132,7 +132,7 @@ impl VcodecDevice {
 }
 
 impl CharDevice for VcodecDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "vcodec"
     }
 

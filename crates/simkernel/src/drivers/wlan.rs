@@ -104,7 +104,7 @@ impl WlanDevice {
 }
 
 impl CharDevice for WlanDevice {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "wlan"
     }
 

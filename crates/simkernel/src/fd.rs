@@ -1,8 +1,8 @@
 //! Per-process file-descriptor tables.
 
 use crate::errno::Errno;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A file descriptor, valid within one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,8 +24,10 @@ pub struct OpenFileId(pub u64);
 pub enum FileKind {
     /// A character device registered in devfs, by node path.
     CharDev {
-        /// The `/dev/...` path the object was opened through.
-        path: String,
+        /// The `/dev/...` path the object was opened through: the node
+        /// handle created once when the device was registered, shared by
+        /// every open file and trace event on it.
+        path: Arc<str>,
     },
     /// A socket handled by a protocol driver.
     Socket {
@@ -51,9 +53,13 @@ pub struct OpenFile {
 pub const MAX_FDS: usize = 256;
 
 /// A process's descriptor table mapping [`Fd`] to [`OpenFileId`].
+///
+/// Descriptors are handed out in ascending order and never reused within
+/// a process, so the table is a vector sorted by descriptor: installing
+/// appends, and lookups are binary searches.
 #[derive(Debug, Clone, Default)]
 pub struct FdTable {
-    slots: BTreeMap<u32, OpenFileId>,
+    slots: Vec<(u32, OpenFileId)>,
     next: u32,
 }
 
@@ -62,9 +68,22 @@ impl FdTable {
     /// standard streams.
     pub fn new() -> Self {
         Self {
-            slots: BTreeMap::new(),
+            slots: Vec::new(),
             next: 3,
         }
+    }
+
+    /// Empties the table and restarts numbering at 3, keeping its storage
+    /// for the next process that reuses it.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.next = 3;
+    }
+
+    fn position(&self, fd: Fd) -> Result<usize, Errno> {
+        self.slots
+            .binary_search_by_key(&fd.0, |&(slot, _)| slot)
+            .map_err(|_| Errno::EBADF)
     }
 
     /// Installs `file` at the lowest free descriptor.
@@ -78,7 +97,7 @@ impl FdTable {
         }
         let fd = self.next;
         self.next += 1;
-        self.slots.insert(fd, file);
+        self.slots.push((fd, file));
         Ok(Fd(fd))
     }
 
@@ -88,7 +107,7 @@ impl FdTable {
     ///
     /// Returns `EBADF` for unknown descriptors.
     pub fn get(&self, fd: Fd) -> Result<OpenFileId, Errno> {
-        self.slots.get(&fd.0).copied().ok_or(Errno::EBADF)
+        self.position(fd).map(|i| self.slots[i].1)
     }
 
     /// Removes `fd`, returning the object it referred to.
@@ -97,7 +116,8 @@ impl FdTable {
     ///
     /// Returns `EBADF` for unknown descriptors.
     pub fn remove(&mut self, fd: Fd) -> Result<OpenFileId, Errno> {
-        self.slots.remove(&fd.0).ok_or(Errno::EBADF)
+        let i = self.position(fd)?;
+        Ok(self.slots.remove(i).1)
     }
 
     /// Number of live descriptors.
@@ -112,7 +132,7 @@ impl FdTable {
 
     /// Iterates over `(fd, open-file)` pairs in ascending descriptor order.
     pub fn iter(&self) -> impl Iterator<Item = (Fd, OpenFileId)> + '_ {
-        self.slots.iter().map(|(&fd, &of)| (Fd(fd), of))
+        self.slots.iter().map(|&(fd, of)| (Fd(fd), of))
     }
 }
 

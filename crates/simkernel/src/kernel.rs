@@ -1,5 +1,13 @@
 //! The kernel proper: process table, devfs, syscall dispatch, kcov,
 //! bug collection, and trace sessions.
+//!
+//! Dispatch allocates nothing once warm. Syscall arguments are borrowed
+//! from the caller; each devfs node is one shared handle created at
+//! registration, which open files and trace events point at instead of
+//! copying the path; processes and open files live in vectors sorted by
+//! their never-reused ids, and an exited process's descriptor table and
+//! kcov buffer are kept for the next spawn; a trace event is built only
+//! when an attached session wants it.
 
 use crate::coverage::{Block, CoverageMap, DRIVER_REGION, KcovBuffer};
 use crate::driver::{CharDevice, DriverApi, DriverCtx, IoctlOut};
@@ -7,9 +15,10 @@ use crate::drivers::bt::BtStack;
 use crate::errno::Errno;
 use crate::fd::{Fd, FdTable, FileKind, OpenFile, OpenFileId};
 use crate::report::{BugReport, BugSink};
-use crate::syscall::{af, Syscall, SyscallRet};
+use crate::syscall::{af, Syscall, SyscallNr, SyscallRet};
 use crate::trace::{Origin, SyscallEvent, TraceFilter, TraceId, TraceSession};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -17,6 +26,7 @@ pub struct Pid(pub u32);
 
 #[derive(Debug)]
 struct Process {
+    pid: u32,
     origin: Origin,
     fds: FdTable,
     kcov: KcovBuffer,
@@ -32,6 +42,8 @@ pub const L2CAP_COV_BASE: u64 = 0x0900_0000;
 
 struct DeviceSlot {
     base: u64,
+    /// The devfs node handle (also the map key).
+    node: Arc<str>,
     dev: Box<dyn CharDevice>,
 }
 
@@ -44,6 +56,12 @@ impl std::fmt::Debug for DeviceSlot {
     }
 }
 
+/// The driver an open file reaches, handed to syscall bodies.
+enum Target<'k> {
+    Dev(&'k mut dyn CharDevice),
+    Bt(&'k mut BtStack),
+}
+
 /// The simulated kernel.
 ///
 /// Holds registered character devices, the Bluetooth socket stack, process
@@ -52,10 +70,19 @@ impl std::fmt::Debug for DeviceSlot {
 /// example.
 #[derive(Debug)]
 pub struct Kernel {
-    devices: BTreeMap<String, DeviceSlot>,
+    devices: BTreeMap<Arc<str>, DeviceSlot>,
     bt: BtStack,
-    procs: BTreeMap<u32, Process>,
-    files: BTreeMap<u64, OpenFile>,
+    /// Live processes in ascending pid order (pids are never reused, so a
+    /// spawn appends).
+    procs: Vec<Process>,
+    /// Exited processes, kept so a spawn reuses their descriptor table
+    /// and kcov buffer.
+    spare_procs: Vec<Process>,
+    /// Open-file objects in ascending open-id order (ids are never
+    /// reused, so an open appends).
+    files: Vec<(u64, OpenFile)>,
+    /// The descriptors an exiting process still holds.
+    exit_fds: Vec<Fd>,
     global_cov: CoverageMap,
     bugs: BugSink,
     sessions: Vec<Option<TraceSession>>,
@@ -63,6 +90,36 @@ pub struct Kernel {
     next_open: u64,
     syscalls_executed: u64,
     ioctl_only: bool,
+}
+
+fn proc_index(procs: &[Process], pid: Pid) -> Option<usize> {
+    procs.binary_search_by_key(&pid.0, |p| p.pid).ok()
+}
+
+fn proc_mut(procs: &mut [Process], pid: Pid) -> Option<&mut Process> {
+    proc_index(procs, pid).map(|i| &mut procs[i])
+}
+
+fn file_index(files: &[(u64, OpenFile)], id: OpenFileId) -> Option<usize> {
+    files.binary_search_by_key(&id.0, |&(k, _)| k).ok()
+}
+
+/// Adds a new open file under `open_id` (ids only grow, so `files` stays
+/// sorted) and installs it in the descriptor table `fds`.
+fn install_file(
+    files: &mut Vec<(u64, OpenFile)>,
+    fds: &mut FdTable,
+    open_id: u64,
+    kind: FileKind,
+) -> SyscallRet {
+    files.push((open_id, OpenFile { kind, refs: 1 }));
+    match fds.install(OpenFileId(open_id)) {
+        Ok(fd) => SyscallRet::NewFd(fd),
+        Err(e) => {
+            files.pop();
+            SyscallRet::Err(e)
+        }
+    }
 }
 
 impl Kernel {
@@ -78,8 +135,10 @@ impl Kernel {
         Self {
             devices: BTreeMap::new(),
             bt,
-            procs: BTreeMap::new(),
-            files: BTreeMap::new(),
+            procs: Vec::new(),
+            spare_procs: Vec::new(),
+            files: Vec::new(),
+            exit_fds: Vec::new(),
             global_cov: CoverageMap::new(),
             bugs: BugSink::new(),
             sessions: Vec::new(),
@@ -105,13 +164,15 @@ impl Kernel {
     }
 
     /// Registers a character device, returning its coverage-region base.
+    /// The node path becomes the shared handle that open files and trace
+    /// events on the device carry.
     ///
     /// # Panics
     ///
     /// Panics if a device is already mounted at the same node — firmware
     /// specs must not double-mount.
     pub fn register_device(&mut self, dev: Box<dyn CharDevice>) -> u64 {
-        let node = dev.node();
+        let node: Arc<str> = Arc::from(dev.node());
         assert!(
             !self.devices.contains_key(&node),
             "device node {node} already registered"
@@ -125,13 +186,13 @@ impl Kernel {
             assert!(problems.is_empty(), "invalid DriverApi: {problems:?}");
         }
         let base = DEVICE_COV_BASE + self.devices.len() as u64 * DRIVER_REGION;
-        self.devices.insert(node, DeviceSlot { base, dev });
+        self.devices.insert(node.clone(), DeviceSlot { base, node, dev });
         base
     }
 
     /// The `/dev` nodes currently registered, in sorted order.
     pub fn device_nodes(&self) -> Vec<String> {
-        self.devices.keys().cloned().collect()
+        self.devices.keys().map(|node| node.to_string()).collect()
     }
 
     /// The self-described syscall surface of the driver at `node`.
@@ -157,33 +218,40 @@ impl Kernel {
     pub fn spawn_process(&mut self, origin: Origin) -> Pid {
         let pid = self.next_pid;
         self.next_pid += 1;
-        self.procs.insert(
+        let mut proc = self.spare_procs.pop().unwrap_or_else(|| Process {
             pid,
-            Process {
-                origin,
-                fds: FdTable::new(),
-                kcov: KcovBuffer::new(),
-            },
-        );
+            origin,
+            fds: FdTable::new(),
+            kcov: KcovBuffer::new(),
+        });
+        proc.pid = pid;
+        proc.origin = origin;
+        self.procs.push(proc);
         Pid(pid)
     }
 
-    /// Terminates a process: closes every descriptor it still holds
-    /// (running driver `release` handlers, exactly as `do_exit` would) and
-    /// removes it from the process table.
+    /// Terminates a process: closes every descriptor it still holds, in
+    /// ascending order (running driver `release` handlers, exactly as
+    /// `do_exit` would) and removes it from the process table.
     ///
     /// # Errors
     ///
     /// Returns `ENOENT` for unknown processes.
     pub fn exit_process(&mut self, pid: Pid) -> Result<(), Errno> {
-        let Some(proc) = self.procs.get(&pid.0) else {
+        let Some(idx) = proc_index(&self.procs, pid) else {
             return Err(Errno::ENOENT);
         };
-        let fds: Vec<Fd> = proc.fds.iter().map(|(fd, _)| fd).collect();
-        for fd in fds {
+        let mut fds = std::mem::take(&mut self.exit_fds);
+        fds.clear();
+        fds.extend(self.procs[idx].fds.iter().map(|(fd, _)| fd));
+        for &fd in &fds {
             let _ = self.sys_close(pid, fd);
         }
-        self.procs.remove(&pid.0);
+        self.exit_fds = fds;
+        let mut proc = self.procs.remove(idx);
+        proc.fds.clear();
+        proc.kcov.reset();
+        self.spare_procs.push(proc);
         Ok(())
     }
 
@@ -193,11 +261,7 @@ impl Kernel {
     ///
     /// Returns `ENOENT` for unknown processes.
     pub fn kcov_enable(&mut self, pid: Pid) -> Result<(), Errno> {
-        self.procs
-            .get_mut(&pid.0)
-            .ok_or(Errno::ENOENT)?
-            .kcov
-            .enable();
+        proc_mut(&mut self.procs, pid).ok_or(Errno::ENOENT)?.kcov.enable();
         Ok(())
     }
 
@@ -207,12 +271,7 @@ impl Kernel {
     ///
     /// Returns `ENOENT` for unknown processes.
     pub fn kcov_collect(&mut self, pid: Pid) -> Result<Vec<Block>, Errno> {
-        Ok(self
-            .procs
-            .get_mut(&pid.0)
-            .ok_or(Errno::ENOENT)?
-            .kcov
-            .disable())
+        Ok(proc_mut(&mut self.procs, pid).ok_or(Errno::ENOENT)?.kcov.disable())
     }
 
     /// Stops kcov collection for `pid` and appends the recorded blocks to
@@ -223,8 +282,7 @@ impl Kernel {
     ///
     /// Returns `ENOENT` for unknown processes.
     pub fn kcov_collect_into(&mut self, pid: Pid, out: &mut Vec<Block>) -> Result<(), Errno> {
-        self.procs
-            .get_mut(&pid.0)
+        proc_mut(&mut self.procs, pid)
             .ok_or(Errno::ENOENT)?
             .kcov
             .disable_into(out);
@@ -300,7 +358,9 @@ impl Kernel {
     ///
     /// A wedged kernel (after a fatal bug) fails everything with `EIO`,
     /// modelling a panicked/hung device; unknown pids fail with `EPERM`.
-    pub fn syscall(&mut self, pid: Pid, call: Syscall) -> SyscallRet {
+    /// The trace event is built only when an attached session's filter
+    /// takes calls from the caller's origin.
+    pub fn syscall(&mut self, pid: Pid, call: Syscall<'_>) -> SyscallRet {
         self.syscalls_executed += 1;
         if self.bugs.is_wedged() {
             return SyscallRet::Err(Errno::EIO);
@@ -308,92 +368,89 @@ impl Kernel {
         if self.ioctl_only
             && !matches!(
                 call.nr(),
-                crate::syscall::SyscallNr::Openat
-                    | crate::syscall::SyscallNr::Ioctl
-                    | crate::syscall::SyscallNr::Close
-                    | crate::syscall::SyscallNr::Dup
+                SyscallNr::Openat | SyscallNr::Ioctl | SyscallNr::Close | SyscallNr::Dup
             )
         {
             return SyscallRet::Err(Errno::EPERM);
         }
-        let origin = match self.procs.get(&pid.0) {
-            Some(p) => p.origin,
+        let origin = match proc_index(&self.procs, pid) {
+            Some(i) => self.procs[i].origin,
             None => return SyscallRet::Err(Errno::EPERM),
         };
-        let (ret, path) = self.dispatch(pid, &call);
-        let event = SyscallEvent {
-            origin,
-            nr: call.nr(),
-            critical: call.critical_arg(),
-            path,
-            ok: ret.is_ok(),
-        };
-        for session in self.sessions.iter_mut().flatten() {
-            session.record(&event);
+        let (ret, node) = self.dispatch(pid, call);
+        if self.sessions.iter().flatten().any(|s| s.filter.matches(origin)) {
+            let path = match call {
+                // The requested text, whether or not the node exists.
+                Syscall::Openat { path } => Some(match self.devices.get(path) {
+                    Some(slot) => slot.node.clone(),
+                    None => Arc::from(path),
+                }),
+                _ => node,
+            };
+            let event = SyscallEvent {
+                origin,
+                nr: call.nr(),
+                critical: call.critical_arg(),
+                path,
+                ok: ret.is_ok(),
+            };
+            for session in self.sessions.iter_mut().flatten() {
+                session.record(&event);
+            }
         }
         ret
     }
 
-    fn dispatch(&mut self, pid: Pid, call: &Syscall) -> (SyscallRet, Option<String>) {
+    /// Runs `call`; also returns the node handle of the char device the
+    /// call went through, for the trace event (`openat` paths are
+    /// resolved by the caller, only when traced).
+    fn dispatch(&mut self, pid: Pid, call: Syscall<'_>) -> (SyscallRet, Option<Arc<str>>) {
         match call {
-            Syscall::Openat { path } => (self.sys_open(pid, path), Some(path.clone())),
-            Syscall::Close { fd } => self.sys_close(pid, *fd),
-            Syscall::Read { fd, len } => self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                    Some(slot) => slot.dev.read(ctx, *len).map(SyscallRet::Data),
-                    None => Err(Errno::ENODEV),
-                },
-                FileKind::Socket { .. } => k.bt.read(ctx, *len).map(SyscallRet::Data),
+            Syscall::Openat { path } => (self.sys_open(pid, path), None),
+            Syscall::Close { fd } => self.sys_close(pid, fd),
+            Syscall::Read { fd, len } => self.on_file(pid, fd, |t, ctx| match t {
+                Target::Dev(dev) => dev.read(ctx, len).map(SyscallRet::Data),
+                Target::Bt(bt) => bt.read(ctx, len).map(SyscallRet::Data),
             }),
-            Syscall::Write { fd, data } => self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                    Some(slot) => slot.dev.write(ctx, data).map(|n| SyscallRet::Ok(n as u64)),
-                    None => Err(Errno::ENODEV),
-                },
-                FileKind::Socket { .. } => k.bt.write(ctx, data).map(|n| SyscallRet::Ok(n as u64)),
+            Syscall::Write { fd, data } => self.on_file(pid, fd, |t, ctx| {
+                match t {
+                    Target::Dev(dev) => dev.write(ctx, data),
+                    Target::Bt(bt) => bt.write(ctx, data),
+                }
+                .map(|n| SyscallRet::Ok(n as u64))
             }),
-            Syscall::Ioctl { fd, request, arg } => {
-                self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                    FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                        Some(slot) => slot.dev.ioctl(ctx, *request, arg).map(|out| match out {
-                            IoctlOut::Val(v) => SyscallRet::Ok(v),
-                            IoctlOut::Out(data) => SyscallRet::Data(data),
-                        }),
-                        None => Err(Errno::ENODEV),
-                    },
-                    FileKind::Socket { .. } => k.bt.ioctl(ctx, *request, arg).map(SyscallRet::Ok),
-                })
-            }
-            Syscall::Mmap { fd, len, prot } => {
-                self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                    FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                        Some(slot) => slot.dev.mmap(ctx, *len, *prot).map(|_| SyscallRet::Ok(0)),
-                        None => Err(Errno::ENODEV),
-                    },
-                    FileKind::Socket { .. } => Err(Errno::ENODEV),
-                })
-            }
-            Syscall::Poll { fd, events } => self.on_file(pid, *fd, |k, of, ctx| match &of.kind {
-                FileKind::CharDev { path } => match k.devices.get_mut(path) {
-                    Some(slot) => slot.dev.poll(ctx, *events).map(|m| SyscallRet::Ok(u64::from(m))),
-                    None => Err(Errno::ENODEV),
-                },
-                FileKind::Socket { .. } => k.bt.poll(ctx, *events).map(|m| SyscallRet::Ok(u64::from(m))),
+            Syscall::Ioctl { fd, request, arg } => self.on_file(pid, fd, |t, ctx| match t {
+                Target::Dev(dev) => dev.ioctl(ctx, request, arg).map(|out| match out {
+                    IoctlOut::Val(v) => SyscallRet::Ok(v),
+                    IoctlOut::Out(data) => SyscallRet::Data(data),
+                }),
+                Target::Bt(bt) => bt.ioctl(ctx, request, arg).map(SyscallRet::Ok),
             }),
-            Syscall::Dup { fd } => self.sys_dup(pid, *fd),
+            Syscall::Mmap { fd, len, prot } => self.on_file(pid, fd, |t, ctx| match t {
+                Target::Dev(dev) => dev.mmap(ctx, len, prot).map(|_| SyscallRet::Ok(0)),
+                Target::Bt(_) => Err(Errno::ENODEV),
+            }),
+            Syscall::Poll { fd, events } => self.on_file(pid, fd, |t, ctx| {
+                match t {
+                    Target::Dev(dev) => dev.poll(ctx, events),
+                    Target::Bt(bt) => bt.poll(ctx, events),
+                }
+                .map(|m| SyscallRet::Ok(u64::from(m)))
+            }),
+            Syscall::Dup { fd } => (self.sys_dup(pid, fd), None),
             Syscall::Socket { domain, ty, proto } => {
-                (self.sys_socket(pid, *domain, *ty, *proto), None)
+                (self.sys_socket(pid, domain, ty, proto), None)
             }
             Syscall::Bind { fd, addr } => {
-                self.on_socket(pid, *fd, |k, ctx, _| k.bt.bind(ctx, *addr).map(SyscallRet::Ok))
+                self.on_socket(pid, fd, |bt, ctx| bt.bind(ctx, addr).map(SyscallRet::Ok))
             }
             Syscall::Connect { fd, addr } => {
-                self.on_socket(pid, *fd, |k, ctx, _| k.bt.connect(ctx, *addr).map(SyscallRet::Ok))
+                self.on_socket(pid, fd, |bt, ctx| bt.connect(ctx, addr).map(SyscallRet::Ok))
             }
-            Syscall::Listen { fd, backlog } => self.on_socket(pid, *fd, |k, ctx, _| {
-                k.bt.listen(ctx, *backlog).map(SyscallRet::Ok)
-            }),
-            Syscall::Accept { fd } => (self.sys_accept(pid, *fd), None),
+            Syscall::Listen { fd, backlog } => {
+                self.on_socket(pid, fd, |bt, ctx| bt.listen(ctx, backlog).map(SyscallRet::Ok))
+            }
+            Syscall::Accept { fd } => (self.sys_accept(pid, fd), None),
         }
     }
 
@@ -402,7 +459,7 @@ impl Kernel {
             return SyscallRet::Err(Errno::ENOENT);
         };
         let open_id = self.next_open;
-        let Some(proc) = self.procs.get_mut(&pid.0) else {
+        let Some(proc) = proc_mut(&mut self.procs, pid) else {
             return SyscallRet::Err(Errno::EPERM);
         };
         let mut ctx = DriverCtx::new(
@@ -413,23 +470,12 @@ impl Kernel {
             &mut self.bugs,
             open_id,
         );
-        match slot.dev.open(&mut ctx) {
-            Ok(()) => {}
-            Err(e) => return SyscallRet::Err(e),
+        if let Err(e) = slot.dev.open(&mut ctx) {
+            return SyscallRet::Err(e);
         }
         self.next_open += 1;
-        let of = OpenFile {
-            kind: FileKind::CharDev { path: path.to_owned() },
-            refs: 1,
-        };
-        self.files.insert(open_id, of);
-        match proc.fds.install(OpenFileId(open_id)) {
-            Ok(fd) => SyscallRet::NewFd(fd),
-            Err(e) => {
-                self.files.remove(&open_id);
-                SyscallRet::Err(e)
-            }
-        }
+        let path = slot.node.clone();
+        install_file(&mut self.files, &mut proc.fds, open_id, FileKind::CharDev { path })
     }
 
     fn sys_socket(&mut self, pid: Pid, domain: u32, ty: u32, proto: u32) -> SyscallRet {
@@ -437,7 +483,7 @@ impl Kernel {
             return SyscallRet::Err(Errno::EPROTONOSUPPORT);
         }
         let open_id = self.next_open;
-        let Some(proc) = self.procs.get_mut(&pid.0) else {
+        let Some(proc) = proc_mut(&mut self.procs, pid) else {
             return SyscallRet::Err(Errno::EPERM);
         };
         let mut ctx = DriverCtx::new(
@@ -452,34 +498,21 @@ impl Kernel {
             return SyscallRet::Err(e);
         }
         self.next_open += 1;
-        self.files.insert(
-            open_id,
-            OpenFile {
-                kind: FileKind::Socket { domain, ty, proto },
-                refs: 1,
-            },
-        );
-        match proc.fds.install(OpenFileId(open_id)) {
-            Ok(fd) => SyscallRet::NewFd(fd),
-            Err(e) => {
-                self.files.remove(&open_id);
-                SyscallRet::Err(e)
-            }
-        }
+        install_file(&mut self.files, &mut proc.fds, open_id, FileKind::Socket { domain, ty, proto })
     }
 
     fn sys_accept(&mut self, pid: Pid, fd: Fd) -> SyscallRet {
-        let Some(proc) = self.procs.get_mut(&pid.0) else {
+        let Some(proc) = proc_mut(&mut self.procs, pid) else {
             return SyscallRet::Err(Errno::EPERM);
         };
         let parent_id = match proc.fds.get(fd) {
             Ok(id) => id,
             Err(e) => return SyscallRet::Err(e),
         };
-        let Some(parent_file) = self.files.get(&parent_id.0) else {
+        let Some(i) = file_index(&self.files, parent_id) else {
             return SyscallRet::Err(Errno::EBADF);
         };
-        let FileKind::Socket { domain, ty, proto } = parent_file.kind else {
+        let FileKind::Socket { domain, ty, proto } = self.files[i].1.kind else {
             return SyscallRet::Err(Errno::EOPNOTSUPP);
         };
         let child_id = self.next_open;
@@ -495,47 +528,30 @@ impl Kernel {
             return SyscallRet::Err(e);
         }
         self.next_open += 1;
-        self.files.insert(
-            child_id,
-            OpenFile {
-                kind: FileKind::Socket { domain, ty, proto },
-                refs: 1,
-            },
-        );
-        match proc.fds.install(OpenFileId(child_id)) {
-            Ok(new_fd) => SyscallRet::NewFd(new_fd),
-            Err(e) => {
-                self.files.remove(&child_id);
-                SyscallRet::Err(e)
-            }
-        }
+        install_file(&mut self.files, &mut proc.fds, child_id, FileKind::Socket { domain, ty, proto })
     }
 
-    fn sys_close(&mut self, pid: Pid, fd: Fd) -> (SyscallRet, Option<String>) {
-        let Some(proc) = self.procs.get_mut(&pid.0) else {
+    fn sys_close(&mut self, pid: Pid, fd: Fd) -> (SyscallRet, Option<Arc<str>>) {
+        let Some(proc) = proc_mut(&mut self.procs, pid) else {
             return (SyscallRet::Err(Errno::EPERM), None);
         };
         let of_id = match proc.fds.remove(fd) {
             Ok(id) => id,
             Err(e) => return (SyscallRet::Err(e), None),
         };
-        let Some(file) = self.files.get_mut(&of_id.0) else {
+        let Some(i) = file_index(&self.files, of_id) else {
             return (SyscallRet::Err(Errno::EBADF), None);
         };
+        let file = &mut self.files[i].1;
         file.refs -= 1;
         if file.refs > 0 {
             return (SyscallRet::Ok(0), None);
         }
-        let file = self.files.remove(&of_id.0).expect("file exists");
-        let path = match &file.kind {
-            FileKind::CharDev { path } => Some(path.clone()),
-            FileKind::Socket { .. } => None,
-        };
-        let mut ctx_holder;
-        match &file.kind {
+        let (_, file) = self.files.remove(i);
+        match file.kind {
             FileKind::CharDev { path } => {
-                if let Some(slot) = self.devices.get_mut(path) {
-                    ctx_holder = DriverCtx::new(
+                if let Some(slot) = self.devices.get_mut(&*path) {
+                    let mut ctx = DriverCtx::new(
                         slot.base,
                         "",
                         Some(&mut proc.kcov),
@@ -543,11 +559,12 @@ impl Kernel {
                         &mut self.bugs,
                         of_id.0,
                     );
-                    slot.dev.release(&mut ctx_holder);
+                    slot.dev.release(&mut ctx);
                 }
+                (SyscallRet::Ok(0), Some(path))
             }
             FileKind::Socket { .. } => {
-                ctx_holder = DriverCtx::new(
+                let mut ctx = DriverCtx::new(
                     0,
                     "bt",
                     Some(&mut proc.kcov),
@@ -555,84 +572,80 @@ impl Kernel {
                     &mut self.bugs,
                     of_id.0,
                 );
-                self.bt.close(&mut ctx_holder);
+                self.bt.close(&mut ctx);
+                (SyscallRet::Ok(0), None)
             }
         }
-        (SyscallRet::Ok(0), path)
     }
 
-    fn sys_dup(&mut self, pid: Pid, fd: Fd) -> (SyscallRet, Option<String>) {
-        let Some(proc) = self.procs.get_mut(&pid.0) else {
-            return (SyscallRet::Err(Errno::EPERM), None);
+    fn sys_dup(&mut self, pid: Pid, fd: Fd) -> SyscallRet {
+        let Some(proc) = proc_mut(&mut self.procs, pid) else {
+            return SyscallRet::Err(Errno::EPERM);
         };
         let of_id = match proc.fds.get(fd) {
             Ok(id) => id,
-            Err(e) => return (SyscallRet::Err(e), None),
+            Err(e) => return SyscallRet::Err(e),
         };
-        let Some(file) = self.files.get_mut(&of_id.0) else {
-            return (SyscallRet::Err(Errno::EBADF), None);
+        let Some(i) = file_index(&self.files, of_id) else {
+            return SyscallRet::Err(Errno::EBADF);
         };
-        file.refs += 1;
+        self.files[i].1.refs += 1;
         match proc.fds.install(of_id) {
-            Ok(new_fd) => (SyscallRet::NewFd(new_fd), None),
+            Ok(new_fd) => SyscallRet::NewFd(new_fd),
             Err(e) => {
-                self.files.get_mut(&of_id.0).expect("file exists").refs -= 1;
-                (SyscallRet::Err(e), None)
+                self.files[i].1.refs -= 1;
+                SyscallRet::Err(e)
             }
         }
     }
 
-    /// Runs `f` with the open file for `(pid, fd)` and a driver context
-    /// whose `open_id` identifies that file. Returns the node path for
-    /// char devices so the trace event can carry it.
-    fn on_file<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<String>)
+    /// Runs `f` on the driver behind the open file for `(pid, fd)`, with a
+    /// driver context whose `open_id` identifies that file. Returns the
+    /// node handle for char devices so the trace event can carry it.
+    fn on_file<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<Arc<str>>)
     where
-        F: FnOnce(&mut FileAccess<'_>, &OpenFile, &mut DriverCtx<'_>) -> Result<SyscallRet, Errno>,
+        F: FnOnce(Target<'_>, &mut DriverCtx<'_>) -> Result<SyscallRet, Errno>,
     {
-        let Some(proc) = self.procs.get_mut(&pid.0) else {
+        let Some(proc) = proc_mut(&mut self.procs, pid) else {
             return (SyscallRet::Err(Errno::EPERM), None);
         };
         let of_id = match proc.fds.get(fd) {
             Ok(id) => id,
             Err(e) => return (SyscallRet::Err(e), None),
         };
-        let Some(file) = self.files.get(&of_id.0).cloned() else {
+        let Some(i) = file_index(&self.files, of_id) else {
             return (SyscallRet::Err(Errno::EBADF), None);
         };
-        let (base, name, path) = match &file.kind {
-            FileKind::CharDev { path } => match self.devices.get(path) {
-                Some(slot) => (slot.base, slot.dev.name().to_owned(), Some(path.clone())),
+        let (target, base, name, path) = match &self.files[i].1.kind {
+            FileKind::CharDev { path } => match self.devices.get_mut(&**path) {
+                Some(slot) => {
+                    let name = slot.dev.name();
+                    (Target::Dev(slot.dev.as_mut()), slot.base, name, Some(path.clone()))
+                }
                 None => return (SyscallRet::Err(Errno::ENODEV), None),
             },
-            FileKind::Socket { .. } => (0, "bt".to_owned(), None),
+            FileKind::Socket { .. } => (Target::Bt(&mut self.bt), 0, "bt", None),
         };
         let mut ctx = DriverCtx::new(
             base,
-            &name,
+            name,
             Some(&mut proc.kcov),
             &mut self.global_cov,
             &mut self.bugs,
             of_id.0,
         );
-        let mut access = FileAccess {
-            devices: &mut self.devices,
-            bt: &mut self.bt,
-        };
-        let ret = match f(&mut access, &file, &mut ctx) {
-            Ok(r) => r,
-            Err(e) => SyscallRet::Err(e),
-        };
+        let ret = f(target, &mut ctx).unwrap_or_else(SyscallRet::Err);
         (ret, path)
     }
 
     /// Like [`on_file`](Self::on_file) but requires the fd to be a socket.
-    fn on_socket<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<String>)
+    fn on_socket<F>(&mut self, pid: Pid, fd: Fd, f: F) -> (SyscallRet, Option<Arc<str>>)
     where
-        F: FnOnce(&mut FileAccess<'_>, &mut DriverCtx<'_>, &OpenFile) -> Result<SyscallRet, Errno>,
+        F: FnOnce(&mut BtStack, &mut DriverCtx<'_>) -> Result<SyscallRet, Errno>,
     {
-        self.on_file(pid, fd, |k, of, ctx| match of.kind {
-            FileKind::Socket { .. } => f(k, ctx, of),
-            FileKind::CharDev { .. } => Err(Errno::EOPNOTSUPP),
+        self.on_file(pid, fd, |t, ctx| match t {
+            Target::Bt(bt) => f(bt, ctx),
+            Target::Dev(_) => Err(Errno::EOPNOTSUPP),
         })
     }
 }
@@ -640,20 +653,6 @@ impl Kernel {
 impl Default for Kernel {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Split-borrow view over the kernel's device map and Bluetooth stack,
-/// handed to syscall bodies alongside the driver context.
-pub struct FileAccess<'k> {
-    devices: &'k mut BTreeMap<String, DeviceSlot>,
-    /// The Bluetooth protocol stack.
-    pub bt: &'k mut BtStack,
-}
-
-impl std::fmt::Debug for FileAccess<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileAccess").finish_non_exhaustive()
     }
 }
 
@@ -669,7 +668,7 @@ mod tests {
     }
 
     impl CharDevice for EchoDev {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "echo"
         }
         fn node(&self) -> String {
@@ -716,13 +715,13 @@ mod tests {
     fn open_ioctl_close_roundtrip() {
         let (mut k, pid) = kernel_with_echo();
         let fd = k
-            .syscall(pid, Syscall::Openat { path: "/dev/echo0".into() })
+            .syscall(pid, Syscall::Openat { path: "/dev/echo0" })
             .fd()
             .unwrap();
         let payload = encode_words(&[42]);
         let ret = k.syscall(
             pid,
-            Syscall::Ioctl { fd, request: 0xE0, arg: payload.clone() },
+            Syscall::Ioctl { fd, request: 0xE0, arg: &payload },
         );
         assert_eq!(ret, SyscallRet::Data(payload));
         assert!(k.syscall(pid, Syscall::Close { fd }).is_ok());
@@ -735,7 +734,7 @@ mod tests {
     #[test]
     fn open_missing_node_is_enoent() {
         let (mut k, pid) = kernel_with_echo();
-        let ret = k.syscall(pid, Syscall::Openat { path: "/dev/nope".into() });
+        let ret = k.syscall(pid, Syscall::Openat { path: "/dev/nope" });
         assert_eq!(ret.errno(), Some(Errno::ENOENT));
     }
 
@@ -744,10 +743,10 @@ mod tests {
         let (mut k, pid) = kernel_with_echo();
         k.kcov_enable(pid).unwrap();
         let fd = k
-            .syscall(pid, Syscall::Openat { path: "/dev/echo0".into() })
+            .syscall(pid, Syscall::Openat { path: "/dev/echo0" })
             .fd()
             .unwrap();
-        k.syscall(pid, Syscall::Ioctl { fd, request: 0xE0, arg: vec![] });
+        k.syscall(pid, Syscall::Ioctl { fd, request: 0xE0, arg: &[] });
         let blocks = k.kcov_collect(pid).unwrap();
         assert_eq!(blocks.len(), 2, "open + ioctl each hit one block");
         assert!(k.global_coverage().len() >= 2);
@@ -758,10 +757,10 @@ mod tests {
         let (mut k, pid) = kernel_with_echo();
         let tid = k.attach_trace(TraceFilter::NativeOnly);
         let fd = k
-            .syscall(pid, Syscall::Openat { path: "/dev/echo0".into() })
+            .syscall(pid, Syscall::Openat { path: "/dev/echo0" })
             .fd()
             .unwrap();
-        k.syscall(pid, Syscall::Ioctl { fd, request: 0xE0, arg: vec![] });
+        k.syscall(pid, Syscall::Ioctl { fd, request: 0xE0, arg: &[] });
         let events = k.trace_drain(tid);
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].nr, crate::syscall::SyscallNr::Ioctl);
@@ -776,7 +775,7 @@ mod tests {
     fn dup_shares_open_file() {
         let (mut k, pid) = kernel_with_echo();
         let fd = k
-            .syscall(pid, Syscall::Openat { path: "/dev/echo0".into() })
+            .syscall(pid, Syscall::Openat { path: "/dev/echo0" })
             .fd()
             .unwrap();
         let fd2 = k.syscall(pid, Syscall::Dup { fd }).fd().unwrap();
@@ -784,7 +783,7 @@ mod tests {
         assert!(k.syscall(pid, Syscall::Close { fd }).is_ok());
         // Original object still alive through fd2.
         assert!(k
-            .syscall(pid, Syscall::Ioctl { fd: fd2, request: 0xE0, arg: vec![] })
+            .syscall(pid, Syscall::Ioctl { fd: fd2, request: 0xE0, arg: &[] })
             .is_ok());
         assert!(k.syscall(pid, Syscall::Close { fd: fd2 }).is_ok());
     }
@@ -792,7 +791,7 @@ mod tests {
     #[test]
     fn unknown_pid_is_eperm() {
         let (mut k, _) = kernel_with_echo();
-        let ret = k.syscall(Pid(9999), Syscall::Openat { path: "/dev/echo0".into() });
+        let ret = k.syscall(Pid(9999), Syscall::Openat { path: "/dev/echo0" });
         assert_eq!(ret.errno(), Some(Errno::EPERM));
     }
 

@@ -27,8 +27,8 @@
 //! let mut kernel = Kernel::new();
 //! kernel.register_device(Box::new(simkernel::drivers::v4l2::V4l2Device::new(0)));
 //! let pid = kernel.spawn_process(Origin::Native);
-//! let fd = kernel.syscall(pid, Syscall::Openat { path: "/dev/video0".into() }).fd()?;
-//! kernel.syscall(pid, Syscall::Ioctl { fd, request: simkernel::drivers::v4l2::VIDIOC_QUERYCAP, arg: vec![] }).ok()?;
+//! let fd = kernel.syscall(pid, Syscall::Openat { path: "/dev/video0" }).fd()?;
+//! kernel.syscall(pid, Syscall::Ioctl { fd, request: simkernel::drivers::v4l2::VIDIOC_QUERYCAP, arg: &[] }).ok()?;
 //! # Ok(())
 //! # }
 //! ```

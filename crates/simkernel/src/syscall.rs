@@ -93,13 +93,15 @@ pub mod btproto {
     pub const L2CAP: u32 = 0;
 }
 
-/// A system-call invocation with its arguments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Syscall {
+/// A system-call invocation with its arguments. Path and buffer
+/// arguments are borrowed from the caller, as a real syscall reads them
+/// from user memory: issuing a call copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Syscall<'a> {
     /// Open the device node at `path`.
     Openat {
         /// Absolute `/dev/...` path.
-        path: String,
+        path: &'a str,
     },
     /// Close a descriptor.
     Close {
@@ -118,7 +120,7 @@ pub enum Syscall {
         /// Target descriptor.
         fd: Fd,
         /// Payload bytes.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// Driver control call.
     Ioctl {
@@ -127,7 +129,7 @@ pub enum Syscall {
         /// Request code (the paper's "critical position argument").
         request: u32,
         /// Serialized argument structure.
-        arg: Vec<u8>,
+        arg: &'a [u8],
     },
     /// Map `len` bytes of the device.
     Mmap {
@@ -187,7 +189,7 @@ pub enum Syscall {
     },
 }
 
-impl Syscall {
+impl Syscall<'_> {
     /// The syscall number of this invocation.
     pub fn nr(&self) -> SyscallNr {
         match self {
@@ -288,11 +290,11 @@ mod tests {
     #[test]
     fn nr_roundtrip_covers_every_variant() {
         let calls = [
-            Syscall::Openat { path: "/dev/null".into() },
+            Syscall::Openat { path: "/dev/null" },
             Syscall::Close { fd: Fd(3) },
             Syscall::Read { fd: Fd(3), len: 8 },
-            Syscall::Write { fd: Fd(3), data: vec![1] },
-            Syscall::Ioctl { fd: Fd(3), request: 0xc0044901, arg: vec![] },
+            Syscall::Write { fd: Fd(3), data: &[1] },
+            Syscall::Ioctl { fd: Fd(3), request: 0xc0044901, arg: &[] },
             Syscall::Mmap { fd: Fd(3), len: 4096, prot: 3 },
             Syscall::Poll { fd: Fd(3), events: 1 },
             Syscall::Dup { fd: Fd(3) },
@@ -308,7 +310,7 @@ mod tests {
 
     #[test]
     fn critical_arg_specializes_ioctl_and_socket() {
-        let io = Syscall::Ioctl { fd: Fd(0), request: 0xdead, arg: vec![] };
+        let io = Syscall::Ioctl { fd: Fd(0), request: 0xdead, arg: &[] };
         assert_eq!(io.critical_arg(), 0xdead);
         let so = Syscall::Socket { domain: af::BLUETOOTH, ty: 3, proto: btproto::L2CAP };
         assert_eq!(so.critical_arg(), (u64::from(af::BLUETOOTH) << 32));

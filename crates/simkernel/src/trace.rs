@@ -9,6 +9,7 @@
 
 use crate::syscall::SyscallNr;
 use std::fmt;
+use std::sync::Arc;
 
 /// Who issued a syscall: the fuzzer's native executor, a HAL service
 /// process, or some other system process.
@@ -41,8 +42,10 @@ pub struct SyscallEvent {
     pub nr: SyscallNr,
     /// Critical position argument (e.g. `ioctl` request code).
     pub critical: u64,
-    /// Device node path, when the call targeted a devfs node.
-    pub path: Option<String>,
+    /// Device node path, when the call targeted a devfs node: the node
+    /// handle shared with the kernel's devfs entry, or the requested text
+    /// of an `openat` on a node that does not exist.
+    pub path: Option<Arc<str>>,
     /// Whether the call succeeded.
     pub ok: bool,
 }
