@@ -7,6 +7,7 @@
 //! Scale: `DF_HOURS` (default 48), `DF_REPEATS` (default 5; paper: 10).
 
 use droidfuzz::config::FuzzerConfig;
+use droidfuzz::fleet::FleetResult;
 use droidfuzz::report::ascii_table;
 use droidfuzz::stats::mann_whitney_u;
 use droidfuzz_bench::{env_f64, env_u64, run_matrix, MakeConfig};
@@ -26,12 +27,13 @@ fn main() {
         ("Syzkaller", FuzzerConfig::syzkaller),
     ];
     let results = run_matrix(&devices, &variants, hours, repeats);
+    let finals = |r: &FleetResult| r.shards.iter().map(|s| s.final_coverage).collect::<Vec<_>>();
     let mut rows = Vec::new();
     for chunk in results.chunks(variants.len()) {
         let df = &chunk[0];
         let mut row = vec![df.device_id.clone(), format!("{:.0}", df.mean_final_coverage())];
         for other in &chunk[1..] {
-            let (_, p) = mann_whitney_u(&df.final_coverage, &other.final_coverage);
+            let (_, p) = mann_whitney_u(&finals(df), &finals(other));
             let marker = if p >= 0.05 { "*" } else { "" };
             row.push(format!("{:.0}{marker}", other.mean_final_coverage()));
         }

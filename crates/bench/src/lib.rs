@@ -23,7 +23,7 @@
 pub mod reference;
 
 use droidfuzz::config::FuzzerConfig;
-use droidfuzz::daemon::{CampaignResult, Daemon};
+use droidfuzz::fleet::{Fleet, FleetConfig, FleetResult};
 use simdevice::firmware::FirmwareSpec;
 use std::sync::Mutex;
 
@@ -46,24 +46,32 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
 /// A named fuzzer-variant constructor.
 pub type MakeConfig = fn(u64) -> FuzzerConfig;
 
-/// Runs `variants × devices` campaigns in parallel (each campaign itself
-/// runs its repeats in parallel threads) and returns results in
-/// `(device, variant)` iteration order.
+/// Runs `variants × devices` campaigns in parallel and returns results in
+/// `(device, variant)` iteration order. Each campaign is an unsynced
+/// fleet with one shard per repeat and a single round spanning the whole
+/// campaign, so every repeat behaves exactly as a standalone run; the
+/// per-repeat final coverage is in [`FleetResult::shards`].
 pub fn run_matrix(
     devices: &[FirmwareSpec],
     variants: &[(&str, MakeConfig)],
     hours: f64,
     repeats: u64,
-) -> Vec<CampaignResult> {
-    let results: Mutex<Vec<(usize, CampaignResult)>> = Mutex::new(Vec::new());
+) -> Vec<FleetResult> {
+    let fleet = Fleet::new(FleetConfig {
+        shards: repeats as usize,
+        hours,
+        sync_interval_hours: hours,
+        sync: false,
+        ..FleetConfig::default()
+    });
+    let results: Mutex<Vec<(usize, FleetResult)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for (di, spec) in devices.iter().enumerate() {
             for (vi, (_, make)) in variants.iter().enumerate() {
                 let results = &results;
-                let make = *make;
+                let (fleet, make) = (&fleet, *make);
                 scope.spawn(move || {
-                    let daemon = Daemon::new();
-                    let result = daemon.run_campaign(spec, make, hours, repeats);
+                    let result = fleet.run(spec, make);
                     results
                         .lock()
                         .expect("no poisoning")

@@ -28,6 +28,14 @@
 //! losses) is quarantined for an exponentially growing window of rounds
 //! before it may rejoin.
 //!
+//! The round loop itself lives in one place, `round`: the schedule of
+//! sync rounds, the shard round (boot, slice, self-heal on a worker pool)
+//! and the hub round (apply, crash sync, persist, checkpoint cadence).
+//! [`Fleet`] drives it with the hub in process; the distributed hub
+//! server and worker runtime ([`crate::net`]) drive the same pieces with
+//! the hub on the far side of a link, which is why a distributed campaign
+//! is bit-identical to a local one.
+//!
 //! Execution is parallel: the shards are split into
 //! [`FleetConfig::threads`] contiguous chunks, and every pooled phase
 //! runs each chunk on its own `std::thread::scope` worker — engine boot,
@@ -55,6 +63,7 @@
 pub mod events;
 pub mod hub;
 pub mod persist;
+mod round;
 pub mod shard;
 pub mod snapshot;
 
@@ -64,16 +73,18 @@ pub use persist::{FleetPersist, FleetStore, DEFAULT_KEEP};
 pub use shard::{Shard, ShardUpdate};
 pub use snapshot::{FleetSnapshot, SNAPSHOT_HEADER};
 
+pub(crate) use round::{HubRound, Schedule, ShardRound, Totals};
+
 use crate::config::FuzzerConfig;
 use crate::crashes::CrashRecord;
-use crate::engine::{FuzzingEngine, HOUR_US};
+use crate::engine::FuzzingEngine;
 use crate::relation::RelationGraph;
 use crate::stats::{mean_series, Series};
 use crate::store::{RecoveryManager, RecoveryReport, StorageMedium, StoreCounters, StoreError};
 use crate::supervisor::FaultCounters;
 use droidfuzz_analysis::LintCounters;
 use simdevice::firmware::FirmwareSpec;
-use std::thread;
+use std::convert::Infallible;
 
 /// Fleet campaign parameters.
 #[derive(Debug, Clone)]
@@ -209,26 +220,6 @@ impl FleetResult {
     }
 }
 
-/// Runs `work` on every item, split into contiguous chunks of
-/// `chunk_len` with one scoped worker thread per chunk, and returns the
-/// results in item order whichever worker finishes first. Boot, restore,
-/// slice and pull all go through it, so every phase splits the shards the
-/// same way.
-pub(crate) fn on_workers<T: Send, R: Send>(
-    items: &mut [T],
-    chunk_len: usize,
-    work: impl Fn(&mut T) -> R + Sync,
-) -> Vec<R> {
-    let work = &work;
-    thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(work).collect::<Vec<_>>()))
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("fleet worker")).collect()
-    })
-}
-
 /// The fleet orchestrator.
 #[derive(Debug, Clone)]
 pub struct Fleet {
@@ -326,243 +317,62 @@ impl Fleet {
         spec: &FirmwareSpec,
         make_config: &F,
         resume: Option<FleetSnapshot>,
-        mut persist: Option<&mut dyn FleetPersist>,
+        persist: Option<&mut dyn FleetPersist>,
     ) -> FleetResult
     where
         F: Fn(u64) -> FuzzerConfig + Sync,
     {
         let cfg = &self.config;
-        let total_us = (cfg.hours * HOUR_US as f64) as u64;
-        let interval_us = ((cfg.sync_interval_hours * HOUR_US as f64) as u64).max(1);
-        let total_rounds = (total_us.div_ceil(interval_us) as usize).max(1);
-        let start_round = resume.as_ref().map_or(0, |s| s.round.min(total_rounds));
-        let clock_offset_us = resume.as_ref().map_or(0, |s| s.clock_us.min(total_us));
-
-        let (bus, rx) = EventBus::new();
-        let workers = if cfg.threads == 0 {
-            cfg.shards
-        } else {
-            cfg.threads.clamp(1, cfg.shards)
-        };
-        let chunk_len = cfg.shards.div_ceil(workers);
-
-        // Boot the engines on the worker pool (probing is the expensive
-        // part), then wrap them into shards on the orchestrator thread.
-        let mut shard_ids: Vec<usize> = (0..cfg.shards).collect();
-        let engines = on_workers(&mut shard_ids, chunk_len, |&mut i| {
-            FuzzingEngine::new(spec.clone().boot(), make_config(i as u64 + 1))
-        });
-        let mut shards: Vec<Shard> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(i, engine)| Shard::new(i, engine, bus.clone(), clock_offset_us))
-            .collect();
-
-        let mut hub = CorpusHub::new(cfg.hub_capacity);
-        if let Some(snap) = &resume {
-            snap.restore_into(&mut hub);
-            if !snap.relations_text.is_empty() {
-                let table = shards[0].engine().desc_table();
-                let mut graph = RelationGraph::new(table);
-                graph.import(&snap.relations_text, table);
-                hub.set_relations(graph);
-            }
-        }
+        let resume = resume.as_ref();
+        let start = resume.map_or((0, 0), |s| (s.round, s.clock_us));
+        let schedule = Schedule::new(cfg.hours, cfg.sync_interval_hours, start);
+        let (ids, threads) = (0..cfg.shards, cfg.threads);
+        let mut pool = ShardRound::boot(spec, make_config, ids, threads, cfg.flap_limit, schedule);
+        let table = pool.shards[0].engine().desc_table();
+        let mut sync = HubRound::new(cfg, schedule, table, resume, persist);
         if cfg.sync {
-            on_workers(&mut shards, chunk_len, |shard| shard.restore_from_hub(&hub));
+            pool.each(|shard| shard.restore_from_hub(&sync.hub));
         } else {
-            // Independent repeats keep their corpora private; still
-            // announce the shards on the bus.
-            for shard in &shards {
-                bus.emit(FleetEvent::ShardStarted { shard: shard.id, restored_seeds: 0 });
-            }
+            pool.announce();
         }
 
-        let baseline_faults =
-            resume.as_ref().map_or_else(FaultCounters::default, |s| s.fault_totals);
-        let fleet_fault_totals = |shards: &[Shard]| {
-            let mut totals = baseline_faults;
-            for shard in shards {
-                totals.absorb(&shard.fault_totals());
-            }
-            totals
-        };
-        let baseline_lint =
-            resume.as_ref().map_or_else(LintCounters::default, |s| s.lint_totals);
-        let fleet_lint_totals = |shards: &[Shard]| {
-            let mut totals = baseline_lint;
-            for shard in shards {
-                totals.absorb(&shard.lint_totals());
-            }
-            totals
-        };
-        let baseline_store =
-            resume.as_ref().map_or_else(StoreCounters::default, |s| s.store_totals);
-        let baseline_net = resume
-            .as_ref()
-            .map_or_else(crate::net::NetCounters::default, |s| s.net_totals);
-
-        if let Some(sink) = persist.as_deref_mut() {
-            sink.on_start(&hub, shards[0].engine().desc_table());
-        }
-
-        let mut rounds_completed = start_round;
-        let mut clock_us = clock_offset_us;
-        // The last checkpoint's text; a resume that has no round left to
-        // run hands its snapshot back unchanged.
-        let mut snapshot_text = None;
-        let mut killed = false;
-        let mut snapshots_skipped = 0u64;
-        let checkpoint_interval = self.config.checkpoint_interval_rounds.max(1);
-
-        for round in start_round..total_rounds {
-            let global_target = (interval_us * (round as u64 + 1)).min(total_us);
-            let slice_us = global_target.saturating_sub(clock_us);
-
-            // Fuzz the slice: every worker owns a contiguous chunk of
-            // shards and runs them back to back, ending each with its
-            // batched hub update. Quarantined shards sit the slice out
-            // (their clock offset absorbs it so they rejoin the fleet
-            // clock without a giant catch-up slice) but still report an
-            // update, which is empty for an idle shard. Chunks join in
-            // order, so the updates come back in shard-id order.
-            let updates = on_workers(&mut shards, chunk_len, |shard| {
-                if shard.is_quarantined(round) {
-                    shard.skip_slice(slice_us);
-                } else {
-                    shard.run_slice(global_target, round);
-                }
-                shard.prepare_update()
-            });
-
-            // Sync round. Everything that writes the hub runs here, in
-            // shard order; pulls only read it, so they go back to the
-            // worker pool once the hub holds the whole round.
-            let mut published = 0;
-            for update in &updates {
-                published += hub.apply_update(update);
-            }
-            hub.sync_crashes(shards.iter().map(|s| s.engine().crash_db()));
-            let pulled: usize = if cfg.sync {
-                on_workers(&mut shards, chunk_len, |shard| shard.pull(&hub)).into_iter().sum()
-            } else {
-                0
-            };
-            hub.record_sample(global_target);
-            bus.emit(FleetEvent::SyncCompleted {
+        for round in schedule.rounds() {
+            let updates = pool.slice(round);
+            // Everything that writes the hub runs here, in shard order;
+            // pulls only read it, so they go back to the worker pool once
+            // the hub holds the whole round.
+            let crash_dbs = pool.shards.iter().map(|s| s.engine().crash_db());
+            let published = sync.apply(round, updates, crash_dbs);
+            let hub = &sync.hub;
+            let pulled: usize =
+                if cfg.sync { pool.each(|shard| shard.pull(hub)).into_iter().sum() } else { 0 };
+            pool.bus.emit(FleetEvent::SyncCompleted {
                 round,
                 published,
                 pulled,
                 hub_seeds: hub.len(),
                 hub_edges: hub.relations().map_or(0, RelationGraph::edge_count),
                 union_coverage: hub.union_coverage(),
-                workers,
+                workers: pool.workers,
+            });
+            let Ok(()) = pool.heal(round, |shard| {
+                shard.restore_all_from_hub(hub);
+                Ok::<(), Infallible>(())
             });
 
-            // Self-healing: a shard whose device is permanently lost
-            // (vanished, or re-provisioning exhausted) restarts with a
-            // fresh engine restored from hub state — everything it knew
-            // was published above, so no corpus/relation/crash state is
-            // lost. A flapping shard is benched for an exponentially
-            // growing quarantine window instead of churning restarts.
-            for (i, shard) in shards.iter_mut().enumerate() {
-                if shard.is_quarantined(round) {
-                    continue;
-                }
-                if !shard.engine().device_lost() {
-                    shard.note_healthy();
-                    continue;
-                }
-                let restarts = u64::from(shard.restarts()) + 1;
-                let engine = FuzzingEngine::new(
-                    spec.clone().boot(),
-                    make_config(i as u64 + 1 + restarts * 1009),
-                );
-                shard.replace_engine(engine, global_target);
-                bus.emit(FleetEvent::ShardRestarted {
-                    shard: i,
-                    round,
-                    restarts: shard.restarts(),
-                });
-                shard.restore_all_from_hub(&hub);
-                if shard.consecutive_losses() >= cfg.flap_limit.max(1) {
-                    let window = 1usize << shard.quarantines().min(8);
-                    let until = round + 1 + window;
-                    shard.quarantine_until(until);
-                    bus.emit(FleetEvent::ShardQuarantined { shard: i, round, until_round: until });
-                }
-            }
-
-            rounds_completed = round + 1;
-            clock_us = global_target;
-            let rounds_this_run = rounds_completed - start_round;
-            let table = shards[0].engine().desc_table();
-            let fault_totals = fleet_fault_totals(&shards);
-            let lint_totals = fleet_lint_totals(&shards);
-            if let Some(sink) = persist.as_deref_mut() {
-                sink.on_round(
-                    &hub,
-                    table,
-                    rounds_completed,
-                    clock_us,
-                    &fault_totals,
-                    &lint_totals,
-                    &baseline_net,
-                );
-            }
-
-            // Re-serializing the full snapshot every round is the single
-            // biggest fixed cost of a sync round; with a journal (or a
-            // coarser cadence) the in-between rounds skip it — the final
-            // round and a kill always checkpoint. Without a persist sink
-            // only the final (or kill) checkpoint is ever read, so the
-            // cadence rounds before it build nothing; they still do not
-            // count as skipped.
-            let is_kill = cfg.kill_after_rounds == Some(rounds_this_run);
-            let is_final = is_kill || rounds_completed == total_rounds;
-            if !is_final && !rounds_this_run.is_multiple_of(checkpoint_interval) {
-                snapshots_skipped += 1;
-            } else if is_final || persist.is_some() {
-                let mut store_totals = baseline_store;
-                if let Some(sink) = persist.as_deref() {
-                    store_totals.absorb(&sink.counters());
-                }
-                store_totals.snapshots_skipped += snapshots_skipped;
-                let snap = FleetSnapshot::capture(
-                    &hub,
-                    table,
-                    rounds_completed,
-                    clock_us,
-                    fault_totals,
-                    lint_totals,
-                    store_totals,
-                    baseline_net,
-                );
-                snapshot_text = Some(snap.to_text());
-                if let Some(sink) = persist.as_deref_mut() {
-                    sink.on_checkpoint(&snap);
-                }
-            }
-
-            if is_kill {
-                killed = true;
+            let totals =
+                sync.totals(pool.shards.iter().map(|s| (s.fault_totals(), s.lint_totals())));
+            let table = pool.shards[0].engine().desc_table();
+            if !sync.finish(round, table, totals, sync.baseline_net()) {
                 break;
             }
         }
 
-        for shard in &shards {
-            shard.finish();
-        }
-        let mut stats = FleetStats::drain(&rx, cfg.shards);
-        stats.snapshots_skipped = snapshots_skipped;
-        stats.net_totals = baseline_net;
-        let mut store_totals = baseline_store;
-        if let Some(sink) = persist.as_deref() {
-            store_totals.absorb(&sink.counters());
-        }
-        store_totals.snapshots_skipped += snapshots_skipped;
-
-        let outcomes: Vec<ShardOutcome> = shards
+        let mut stats = pool.finish(cfg.shards);
+        stats.snapshots_skipped = sync.snapshots_skipped;
+        stats.net_totals = sync.baseline_net();
+        let outcomes: Vec<ShardOutcome> = pool
+            .shards
             .iter()
             .map(|shard| {
                 // The shard's own offset, not the fleet resume offset: a
@@ -571,6 +381,7 @@ impl Fleet {
                 for &(t, v) in shard.engine().coverage_series().points() {
                     series.push(shard.clock_offset_us() + t, v);
                 }
+                let crashes = shard.engine().crash_db().records();
                 ShardOutcome {
                     shard: shard.id,
                     final_coverage: shard.engine().kernel_coverage() as f64,
@@ -578,38 +389,32 @@ impl Fleet {
                     faults: shard.fault_totals(),
                     restarts: shard.restarts(),
                     series,
-                    crash_titles: shard
-                        .engine()
-                        .crash_db()
-                        .records()
-                        .iter()
-                        .map(|r| r.title.clone())
-                        .collect(),
+                    crash_titles: crashes.iter().map(|r| r.title.clone()).collect(),
                 }
             })
             .collect();
         let shard_series: Vec<Series> = outcomes.iter().map(|o| o.series.clone()).collect();
+        let (fault_totals, lint_totals) =
+            sync.totals(pool.shards.iter().map(|s| (s.fault_totals(), s.lint_totals())));
 
         FleetResult {
             device_id: spec.meta.id.clone(),
             fuzzer: make_config(0).variant.to_string(),
-            crashes: hub.crashes().records().into_iter().cloned().collect(),
-            union_coverage: hub.union_coverage(),
+            crashes: sync.hub.crashes().records().into_iter().cloned().collect(),
+            union_coverage: sync.hub.union_coverage(),
             executions: outcomes.iter().map(|o| o.executions).sum(),
-            mean_series: mean_series(&shard_series, total_us, 48),
-            union_series: hub.series().clone(),
-            fault_totals: fleet_fault_totals(&shards),
-            lint_totals: fleet_lint_totals(&shards),
-            store_totals,
-            net_totals: baseline_net,
+            mean_series: mean_series(&shard_series, schedule.total_us, 48),
+            union_series: sync.hub.series().clone(),
+            fault_totals,
+            lint_totals,
+            store_totals: sync.store_totals(),
+            net_totals: sync.baseline_net(),
             shards: outcomes,
             stats,
-            rounds_completed,
-            clock_us,
-            snapshot: snapshot_text.unwrap_or_else(|| {
-                resume.as_ref().map_or_else(String::new, FleetSnapshot::to_text)
-            }),
-            finished: !killed && rounds_completed == total_rounds,
+            rounds_completed: sync.rounds_completed,
+            clock_us: sync.clock_us,
+            snapshot: sync.snapshot_text(),
+            finished: sync.finished(),
         }
     }
 }
@@ -617,6 +422,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HOUR_US;
     use simdevice::catalog;
     use simdevice::faults::{FaultProfile, FaultRates};
 

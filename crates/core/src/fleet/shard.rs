@@ -3,8 +3,8 @@
 //! and an [`EventBus`] handle for telemetry.
 //!
 //! Shard slices run on worker threads. Everything that writes the hub
-//! ([`publish`](Shard::publish), applying a [`ShardUpdate`]) runs on the
-//! orchestrator thread, sequentially in shard order. What only reads it
+//! (applying a [`ShardUpdate`]) runs on the orchestrator thread,
+//! sequentially in shard order. What only reads it
 //! ([`pull`](Shard::pull), [`restore_from_hub`](Shard::restore_from_hub))
 //! runs on the worker threads again once the hub is complete for the
 //! round: each reads the hub and changes only its own shard. Together
@@ -103,11 +103,12 @@ impl Shard {
         self.apply_restore(&text, cursor, hub.relations())
     }
 
-    /// The hub-delivery half of [`restore_from_hub`](Self::restore_from_hub),
-    /// split out so a remote worker can apply a hub's answer received
-    /// over the wire with byte-identical effect: imports `text`
-    /// unconditionally, advances the pull cursor to `cursor`, merges
-    /// `graph` when present, and emits `ShardStarted`.
+    /// The hub-delivery half of [`restore_from_hub`](Self::restore_from_hub)
+    /// and [`restore_all_from_hub`](Self::restore_all_from_hub), split out
+    /// so a remote worker can apply a hub's answer received over the wire
+    /// with byte-identical effect: imports `text` unconditionally,
+    /// advances the pull cursor to `cursor`, merges `graph` when present,
+    /// and emits `ShardStarted`. Returns the seeds restored.
     pub fn apply_restore(
         &mut self,
         text: &str,
@@ -149,26 +150,7 @@ impl Shard {
     /// replacement engine inherits everything the fleet knows. Emits
     /// `ShardStarted`; returns the seeds restored.
     pub fn restore_all_from_hub(&mut self, hub: &CorpusHub) -> usize {
-        self.apply_full_restore(&hub.corpus_text(), hub.tip(), hub.relations())
-    }
-
-    /// The delivery half of [`restore_all_from_hub`](Self::restore_all_from_hub)
-    /// for remote workers: `text` must be the hub's *entire* live corpus
-    /// and `cursor` its tip.
-    pub fn apply_full_restore(
-        &mut self,
-        text: &str,
-        cursor: u64,
-        graph: Option<&RelationGraph>,
-    ) -> usize {
-        let (accepted, _) = self.engine.import_corpus(text);
-        self.cursor = cursor;
-        if let Some(graph) = graph {
-            self.engine.merge_relations(graph);
-        }
-        self.mark_published();
-        self.bus.emit(FleetEvent::ShardStarted { shard: self.id, restored_seeds: accepted });
-        accepted
+        self.apply_restore(&hub.corpus_text(), hub.tip(), hub.relations())
     }
 
     /// Skips a quarantined slice: the shard does not run, but its clock
@@ -253,20 +235,8 @@ impl Shard {
         totals
     }
 
-    /// Publishes this shard's corpus, relation graph, and observed kernel
-    /// blocks to the hub. Returns seeds newly accepted by the hub.
-    /// (Crashes sync separately, fleet-wide, via
-    /// [`CorpusHub::sync_crashes`].)
-    pub fn publish(&mut self, hub: &mut CorpusHub) -> usize {
-        let accepted = hub.publish_corpus(self.id, &self.engine.export_corpus());
-        hub.publish_relations(self.engine.relation_graph());
-        hub.publish_coverage(self.engine.observed_blocks());
-        self.mark_published();
-        accepted
-    }
-
     /// Assembles this shard's batched hub traffic since the last update
-    /// (or full [`publish`](Self::publish)): the corpus delta by admission
+    /// (or hub import): the corpus delta by admission
     /// sequence, the newly observed kernel blocks, and — only when the
     /// graph's revision moved — a relation-graph clone. Runs on the worker
     /// thread at the end of a slice, so the orchestrator's sequential sync
@@ -287,7 +257,7 @@ impl Shard {
     }
 
     /// Fast-forwards the update cursors to the engine's current state —
-    /// after a full publish or a hub import, nothing current is pending.
+    /// after a hub import, nothing current is pending.
     fn mark_published(&mut self) {
         self.corpus_pub_seq = self.engine.corpus_seq();
         self.blocks_pub = self.engine.observed_blocks_len();
@@ -389,7 +359,7 @@ mod tests {
         a.run_slice(0, 0); // no-op slice, just exercises the heartbeat path
         a.engine.run_iterations(150);
         assert!(!a.engine().corpus().is_empty());
-        let published = a.publish(&mut hub);
+        let published = hub.apply_update(&a.prepare_update());
         assert!(published > 0);
         let before = b.engine().corpus().len();
         let pulled = b.pull(&hub);
@@ -415,7 +385,7 @@ mod tests {
         let execs = shard.engine().executions();
         assert!(execs > 0);
         let mut hub = CorpusHub::new(512);
-        assert!(shard.publish(&mut hub) > 0);
+        assert!(hub.apply_update(&shard.prepare_update()) > 0);
         let replacement = FuzzingEngine::new(spec.clone().boot(), FuzzerConfig::droidfuzz(7));
         shard.replace_engine(replacement, 5_000_000);
         assert_eq!(shard.restarts(), 1);
@@ -471,7 +441,7 @@ mod tests {
         a.engine.run_iterations(400);
         assert!(a.engine().relation_graph().edge_count() > 0);
         let mut hub = CorpusHub::new(512);
-        a.publish(&mut hub);
+        hub.apply_update(&a.prepare_update());
         let before = b.engine().relation_graph().edge_count();
         b.pull(&hub);
         assert!(

@@ -21,9 +21,9 @@
 //!    initialization.
 //!
 //! The remaining modules implement the fuzzing harness of §IV-A
-//! ([`engine`], [`exec`], [`daemon`] — with [`supervisor`] wrapping every
+//! ([`engine`], [`exec`], [`fleet`] — with [`supervisor`] wrapping every
 //! execution in a watchdog/retry/recovery layer against injected device
-//! faults, and [`fleet`] scaling the daemon to sharded multi-engine
+//! faults, and [`fleet`] playing the daemon: sharded multi-engine
 //! campaigns with corpus/relation sync, checkpoint/resume, self-healing
 //! shard restarts, and a metrics bus — checkpoints made crash-safe on
 //! disk by the [`store`] layer's checksummed snapshots, write-ahead
@@ -56,7 +56,6 @@ pub mod baselines;
 pub mod config;
 pub mod corpus;
 pub mod crashes;
-pub mod daemon;
 pub mod descs;
 pub mod engine;
 pub mod exec;

@@ -1,17 +1,17 @@
 //! The worker runtime: N local shards against a remote hub.
 //!
-//! [`WorkerRuntime::run`] is [`Fleet::launch`]'s shard loop with the
-//! hub on the far side of a [`Connector`]: the worker boots its engines
-//! from the [`CampaignSpec`] the hub hands back in `HelloAck`, runs
-//! each sync slice on its own scoped thread pool, and replaces the
-//! orchestrator's in-process hub calls with their wire twins —
-//! `prepare_update` → `PushUpdate`, `pull` → `PullRequest`/
-//! [`Shard::apply_pull`], `restore_all_from_hub` → a `full` pull +
-//! [`Shard::apply_full_restore`]. Relation graphs arrive
-//! revision-gated (the hub resends its export only when the graph
-//! actually changed) and are cached; the cache is merged on *every*
-//! pull, exactly as local shards merge `hub.relations()` every round,
-//! so the distributed campaign stays bit-identical.
+//! [`WorkerRuntime::run`] drives the fleet's shared shard round — the
+//! same boot, slice and self-heal a local [`Fleet`] runs — with the hub
+//! on the far side of a [`Connector`]. The worker boots its engines from
+//! the [`CampaignSpec`] the hub hands back in `HelloAck` and replaces the
+//! in-process hub calls with their wire twins: `prepare_update` →
+//! `PushUpdate`, `pull` → `PullRequest` + [`Shard::apply_pull`], and a
+//! restarted shard's `restore_all_from_hub` → a `full` pull +
+//! [`Shard::apply_restore`]. Relation graphs arrive revision-gated (the
+//! hub resends its export only when the graph actually changed) and are
+//! cached; the cache is merged on *every* pull, exactly as local shards
+//! merge `hub.relations()` every round, so the distributed campaign stays
+//! bit-identical.
 //!
 //! The supervisor's backoff/quarantine taxonomy extends to the link:
 //! any send/recv failure retires the connection, and the worker
@@ -20,21 +20,21 @@
 //! from its first unacknowledged message — safe because the hub
 //! deduplicates pushes and round reports, and pulls are pure reads.
 //!
-//! [`Fleet::launch`]: crate::fleet::Fleet
+//! [`Fleet`]: crate::fleet::Fleet
 //! [`Shard::apply_pull`]: crate::fleet::Shard::apply_pull
-//! [`Shard::apply_full_restore`]: crate::fleet::Shard::apply_full_restore
+//! [`Shard::apply_restore`]: crate::fleet::Shard::apply_restore
 
 use std::thread;
 use std::time::Duration;
 
+use fuzzlang::desc::DescTable;
 use simdevice::catalog;
 use simdevice::FirmwareSpec;
 
 use super::codec::{CampaignSpec, Message, WireShardStats, WireUpdate, PROTOCOL_VERSION};
 use super::transport::{Channel, Connector};
 use super::{NetCounters, NetError};
-use crate::engine::{FuzzingEngine, HOUR_US};
-use crate::fleet::{on_workers, EventBus, FleetEvent, FleetStats, Shard};
+use crate::fleet::{FleetStats, Schedule, Shard, ShardRound};
 use crate::relation::RelationGraph;
 
 /// Worker knobs — everything else comes from the hub's campaign spec.
@@ -93,6 +93,10 @@ struct Link {
     /// Set after the first `HelloAck`; re-sent as `claim` on reconnect.
     base_shard: Option<usize>,
     max_link_retries: u32,
+    /// The hub relation graph, rebuilt whenever the hub resends its
+    /// (revision-gated) export and merged on every pull — the same graph
+    /// value local shards see in `hub.relations()`.
+    hub_graph: Option<RelationGraph>,
 }
 
 impl Link {
@@ -219,6 +223,47 @@ impl Link {
         }
     }
 
+    /// One push step: replayed through reconnects until acknowledged.
+    fn push(&mut self, round: usize, wire: WireUpdate) -> Result<(), NetError> {
+        let shard = wire.shard;
+        let msg = Message::PushUpdate { round, update: wire };
+        self.request_where(&msg, |m| {
+            matches!(m, Message::PushAck { round: r, shard: s, .. } if *r == round && *s == shard)
+        })?;
+        Ok(())
+    }
+
+    /// One pull step for `shard` (from its cursor, or the whole hub
+    /// corpus when `full`): updates the cached hub relation graph when
+    /// the hub sent a fresh export, then hands back the corpus answer.
+    fn pull(
+        &mut self,
+        barrier: usize,
+        shard: &Shard,
+        full: bool,
+        table: &DescTable,
+    ) -> Result<(String, u64, u64), NetError> {
+        let (shard, cursor) = (shard.id, if full { 0 } else { shard.cursor() });
+        let msg = Message::PullRequest { barrier, shard, cursor, full };
+        let response = self.request_where(&msg, |m| {
+            matches!(
+                m,
+                Message::PullResponse { barrier: b, shard: s, .. } if *b == barrier && *s == shard
+            )
+        })?;
+        let Message::PullResponse { corpus_text, cursor, delivered, relations_text, .. } =
+            response
+        else {
+            unreachable!()
+        };
+        if let Some(text) = relations_text {
+            let mut graph = RelationGraph::new(table);
+            graph.import(&text, table);
+            self.hub_graph = Some(graph);
+        }
+        Ok((corpus_text, cursor, delivered))
+    }
+
     /// Fire-and-forget close; the campaign is already complete.
     fn bye(&mut self, reason: &str) {
         if let Some(ch) = self.channel.as_mut() {
@@ -251,6 +296,7 @@ impl WorkerRuntime {
             shards: self.cfg.shards,
             base_shard: None,
             max_link_retries: self.cfg.max_link_retries,
+            hub_graph: None,
         };
         let campaign = match link.handshake() {
             Ok(campaign) => campaign,
@@ -279,40 +325,15 @@ impl WorkerRuntime {
         spec: &FirmwareSpec,
         base_shard: usize,
     ) -> Result<WorkerResult, NetError> {
-        let total_us = (campaign.hours * HOUR_US as f64) as u64;
-        let interval_us = ((campaign.sync_interval_hours * HOUR_US as f64) as u64).max(1);
-        let total_rounds = (total_us.div_ceil(interval_us) as usize).max(1);
-        let start_round = campaign.start_round.min(total_rounds);
-        let clock_offset_us = campaign.clock_us.min(total_us);
-
+        let start = (campaign.start_round, campaign.clock_us);
+        let schedule = Schedule::new(campaign.hours, campaign.sync_interval_hours, start);
         let local = self.cfg.shards;
-        let (bus, rx) = EventBus::new();
-        let workers = if self.cfg.threads == 0 {
-            local
-        } else {
-            self.cfg.threads.clamp(1, local)
-        };
-        let chunk_len = local.div_ceil(workers);
-
-        // Boot engines on the worker pool, exactly like the local
-        // orchestrator: global shard `g` gets engine seed `g + 1`.
-        let mut local_ids: Vec<usize> = (0..local).collect();
-        let engines = on_workers(&mut local_ids, chunk_len, |&mut i| {
-            let g = (base_shard + i) as u64;
-            let config = campaign.engine_config(g + 1).expect("variant validated");
-            FuzzingEngine::new(spec.clone().boot(), config)
-        });
-        let mut shards: Vec<Shard> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(i, engine)| Shard::new(base_shard + i, engine, bus.clone(), clock_offset_us))
-            .collect();
-        let table = shards[0].engine().desc_table().clone();
-
-        // The hub relation graph, rebuilt whenever the hub resends its
-        // (revision-gated) export and merged on every pull — the same
-        // graph value local shards see in `hub.relations()`.
-        let mut hub_graph: Option<RelationGraph> = None;
+        let make_config = |s: u64| campaign.engine_config(s).expect("variant validated");
+        let ids = base_shard..base_shard + local;
+        let threads = self.cfg.threads;
+        let mut pool =
+            ShardRound::boot(spec, &make_config, ids, threads, campaign.flap_limit, schedule);
+        let table = pool.shards[0].engine().desc_table().clone();
         let mut restored = vec![0usize; local];
         let mut pulled = vec![0u64; local];
         let mut heartbeats = vec![0u64; local];
@@ -321,141 +342,59 @@ impl WorkerRuntime {
         // the wire. On a fresh campaign the hub is empty and this is a
         // no-op import; on resume it delivers the snapshot corpus.
         if campaign.sync {
-            for i in 0..local {
-                let (text, cursor, _delivered) = self.pull(
-                    link,
-                    start_round,
-                    base_shard + i,
-                    shards[i].cursor(),
-                    false,
-                    &mut hub_graph,
-                    &table,
-                )?;
-                restored[i] += shards[i].apply_restore(&text, cursor, hub_graph.as_ref());
+            for (shard, restored) in pool.shards.iter_mut().zip(&mut restored) {
+                let (text, cursor, _) = link.pull(schedule.start_round, shard, false, &table)?;
+                *restored += shard.apply_restore(&text, cursor, link.hub_graph.as_ref());
             }
         } else {
-            for shard in &shards {
-                bus.emit(FleetEvent::ShardStarted { shard: shard.id, restored_seeds: 0 });
-            }
+            pool.announce();
         }
 
-        let mut rounds_completed = start_round;
-        let mut clock_us = clock_offset_us;
+        let mut rounds_completed = schedule.start_round;
         let mut finished = false;
 
-        for round in start_round..total_rounds {
-            let global_target = (interval_us * (round as u64 + 1)).min(total_us);
-            let slice_us = global_target.saturating_sub(clock_us);
-            for (i, shard) in shards.iter().enumerate() {
-                if !shard.is_quarantined(round) {
-                    heartbeats[i] += 1;
-                }
+        for round in schedule.rounds() {
+            for (beats, shard) in heartbeats.iter_mut().zip(&pool.shards) {
+                *beats += u64::from(!shard.is_quarantined(round));
             }
-
-            // Fuzz the slice on contiguous chunks, one scoped thread
-            // each; chunks join in order so updates come back in
-            // shard-id order.
-            let updates = on_workers(&mut shards, chunk_len, |shard| {
-                if shard.is_quarantined(round) {
-                    shard.skip_slice(slice_us);
-                } else {
-                    shard.run_slice(global_target, round);
-                }
-                shard.prepare_update()
-            });
+            let updates = pool.slice(round);
 
             // Push every shard's update; the hub applies them in global
             // shard-id order once all fleet shards have reported.
-            for (i, update) in updates.into_iter().enumerate() {
+            for (update, shard) in updates.into_iter().zip(&pool.shards) {
                 let wire = WireUpdate {
                     shard: update.shard,
                     corpus_delta: update.corpus_delta,
                     new_blocks: update.new_blocks.iter().map(|b| b.0).collect(),
                     relations_text: update.relations.as_ref().map(|g| g.export(&table)),
-                    crashes: shards[i]
-                        .engine()
-                        .crash_db()
-                        .records()
-                        .into_iter()
-                        .cloned()
-                        .collect(),
+                    crashes: shard.engine().crash_db().records().into_iter().cloned().collect(),
                 };
-                self.push(link, round, wire)?;
+                link.push(round, wire)?;
             }
 
             // Pull the peers' seeds published this round (barrier
             // `round + 1`: the hub answers once the round is applied).
             if campaign.sync {
-                for i in 0..local {
-                    let (text, cursor, delivered) = self.pull(
-                        link,
-                        round + 1,
-                        base_shard + i,
-                        shards[i].cursor(),
-                        false,
-                        &mut hub_graph,
-                        &table,
-                    )?;
-                    pulled[i] += shards[i].apply_pull(
-                        &text,
-                        cursor,
-                        delivered as usize,
-                        hub_graph.as_ref(),
-                    ) as u64;
+                for (shard, pulled) in pool.shards.iter_mut().zip(&mut pulled) {
+                    let (text, cursor, delivered) = link.pull(round + 1, shard, false, &table)?;
+                    let graph = link.hub_graph.as_ref();
+                    *pulled += shard.apply_pull(&text, cursor, delivered as usize, graph) as u64;
                 }
             }
 
-            // Self-heal, mirroring the local supervisor taxonomy: a
-            // lost device restarts from the full hub corpus; a flapping
-            // shard is quarantined for an exponential window.
-            for (i, shard) in shards.iter_mut().enumerate() {
-                if shard.is_quarantined(round) {
-                    continue;
-                }
-                if !shard.engine().device_lost() {
-                    shard.note_healthy();
-                    continue;
-                }
-                let g = (base_shard + i) as u64;
-                let restarts = u64::from(shard.restarts()) + 1;
-                let config = campaign
-                    .engine_config(g + 1 + restarts * 1009)
-                    .expect("variant validated");
-                let engine = FuzzingEngine::new(spec.clone().boot(), config);
-                shard.replace_engine(engine, global_target);
-                bus.emit(FleetEvent::ShardRestarted {
-                    shard: base_shard + i,
-                    round,
-                    restarts: shard.restarts(),
-                });
-                let (text, cursor, _) = self.pull(
-                    link,
-                    round + 1,
-                    base_shard + i,
-                    0,
-                    true,
-                    &mut hub_graph,
-                    &table,
-                )?;
-                shard.apply_full_restore(&text, cursor, hub_graph.as_ref());
-                if shard.consecutive_losses() >= campaign.flap_limit.max(1) {
-                    let window = 1usize << shard.quarantines().min(8);
-                    let until = round + 1 + window;
-                    shard.quarantine_until(until);
-                    bus.emit(FleetEvent::ShardQuarantined {
-                        shard: base_shard + i,
-                        round,
-                        until_round: until,
-                    });
-                }
-            }
-
+            // A restarted shard re-primes from the whole hub corpus: a
+            // `full` pull at the same barrier.
+            pool.heal(round, |shard| {
+                let (text, cursor, _) = link.pull(round + 1, shard, true, &table)?;
+                shard.apply_restore(&text, cursor, link.hub_graph.as_ref());
+                Ok::<(), NetError>(())
+            })?;
             rounds_completed = round + 1;
-            clock_us = global_target;
 
             // Sync barrier: report telemetry, wait for the fleet-wide
             // ack, and learn whether the campaign goes on.
-            let stats: Vec<WireShardStats> = shards
+            let stats: Vec<WireShardStats> = pool
+                .shards
                 .iter()
                 .enumerate()
                 .map(|(i, shard)| WireShardStats {
@@ -481,69 +420,23 @@ impl WorkerRuntime {
             })?;
             let Message::RoundAck { continue_campaign, .. } = ack else { unreachable!() };
             if !continue_campaign {
-                finished = rounds_completed == total_rounds;
+                finished = rounds_completed == schedule.total_rounds;
                 break;
             }
         }
 
-        for shard in &shards {
-            shard.finish();
-        }
         link.bye("campaign complete");
         let net_totals = link.counters();
-        let mut stats = FleetStats::drain(&rx, campaign.shards);
+        let mut stats = pool.finish(campaign.shards);
         stats.net_totals = net_totals;
         Ok(WorkerResult {
             base_shard,
             shards: local,
             rounds_completed,
-            executions: shards.iter().map(Shard::total_executions).sum(),
+            executions: pool.shards.iter().map(Shard::total_executions).sum(),
             finished,
             stats,
             net_totals,
         })
-    }
-
-    /// One push step: replayed through reconnects until acknowledged.
-    fn push(&self, link: &mut Link, round: usize, wire: WireUpdate) -> Result<(), NetError> {
-        let shard = wire.shard;
-        let msg = Message::PushUpdate { round, update: wire };
-        link.request_where(&msg, |m| {
-            matches!(m, Message::PushAck { round: r, shard: s, .. } if *r == round && *s == shard)
-        })?;
-        Ok(())
-    }
-
-    /// One pull step: updates the cached hub relation graph when the
-    /// hub sent a fresh export, then hands back the corpus answer.
-    #[allow(clippy::too_many_arguments)]
-    fn pull(
-        &self,
-        link: &mut Link,
-        barrier: usize,
-        shard: usize,
-        cursor: u64,
-        full: bool,
-        hub_graph: &mut Option<RelationGraph>,
-        table: &fuzzlang::desc::DescTable,
-    ) -> Result<(String, u64, u64), NetError> {
-        let msg = Message::PullRequest { barrier, shard, cursor, full };
-        let response = link.request_where(&msg, |m| {
-            matches!(
-                m,
-                Message::PullResponse { barrier: b, shard: s, .. } if *b == barrier && *s == shard
-            )
-        })?;
-        let Message::PullResponse { corpus_text, cursor, delivered, relations_text, .. } =
-            response
-        else {
-            unreachable!()
-        };
-        if let Some(text) = relations_text {
-            let mut graph = RelationGraph::new(table);
-            graph.import(&text, table);
-            *hub_graph = Some(graph);
-        }
-        Ok((corpus_text, cursor, delivered))
     }
 }

@@ -2,16 +2,16 @@
 //! layer.
 //!
 //! The server owns no engines. Workers run the shards; the hub buffers
-//! each round's [`PushUpdate`]s keyed by shard id and applies them in
-//! ascending shard order once *every* shard has reported — exactly the
-//! sequential sync section of [`Fleet::launch`] — so a fixed-seed
-//! distributed campaign reproduces the local `--threads` path
-//! bit-for-bit (the snapshot differs only in its `net` counter lines).
+//! each round's [`PushUpdate`]s keyed by shard id and, once *every* shard
+//! has reported, hands them in ascending shard order to the fleet's
+//! shared hub round (`fleet::round`) — the same apply, crash sync,
+//! persist sink and checkpoint cadence a local [`Fleet`] runs — so a
+//! fixed-seed distributed campaign reproduces the local `--threads` path
+//! bit for bit (the snapshot differs only in its `net` counter lines).
 //! Pull requests carry a *barrier* (how many rounds the hub must have
 //! applied before answering); requests arriving early are parked and
-//! answered the moment the barrier round lands. `RoundDone` messages
-//! drive the persistence cadence: `on_round`, checkpoint interval,
-//! kill-after-rounds — all copied verbatim from the local orchestrator.
+//! answered the moment the barrier round lands. A round is closed once
+//! every worker has sent its `RoundDone`.
 //!
 //! Reconnects are cheap because every mutating message is idempotent at
 //! the session layer: a replayed push for an applied round (or an
@@ -21,7 +21,8 @@
 //! `Hello { claim }` and resumes from its first unacknowledged step.
 //!
 //! [`PushUpdate`]: super::Message::PushUpdate
-//! [`Fleet::launch`]: crate::fleet::Fleet
+//! [`CorpusHub`]: crate::fleet::CorpusHub
+//! [`Fleet`]: crate::fleet::Fleet
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,9 +42,10 @@ use super::codec::{
 use super::transport::{ChannelReceiver, Listener, Transport};
 use super::{NetCounters, NetError};
 use crate::crashes::{CrashDb, CrashRecord};
-use crate::engine::{FuzzingEngine, HOUR_US};
+use crate::engine::FuzzingEngine;
 use crate::fleet::{
-    CorpusHub, FleetConfig, FleetPersist, FleetSnapshot, FleetStats, ShardStats, ShardUpdate,
+    FleetConfig, FleetPersist, FleetSnapshot, FleetStats, HubRound, Schedule, ShardStats,
+    ShardUpdate, Totals,
 };
 use crate::relation::RelationGraph;
 use crate::store::StoreCounters;
@@ -158,7 +160,8 @@ struct ParkedPull {
 }
 
 /// The hub: accepts worker sessions, sequences their pushes into the
-/// [`CorpusHub`], and runs the campaign's persistence cadence.
+/// [`CorpusHub`](crate::fleet::CorpusHub), and runs the campaign's
+/// persistence cadence.
 pub struct HubServer {
     cfg: ServeConfig,
 }
@@ -184,18 +187,21 @@ impl HubServer {
     ) -> Result<HubResult, NetError> {
         let spec = catalog::by_id(&self.cfg.device)
             .ok_or_else(|| NetError::Protocol(format!("unknown device {:?}", self.cfg.device)))?;
+        let fleet = &self.cfg.fleet;
+        let start = resume.map_or((0, 0), |s| (s.round, s.clock_us));
+        let schedule = Schedule::new(fleet.hours, fleet.sync_interval_hours, start);
         let campaign = CampaignSpec {
             device: self.cfg.device.clone(),
             variant: self.cfg.variant.clone(),
             seed: self.cfg.seed,
-            hours: self.cfg.fleet.hours,
-            sync_interval_hours: self.cfg.fleet.sync_interval_hours,
-            sync: self.cfg.fleet.sync,
-            shards: self.cfg.fleet.shards.max(1),
-            hub_capacity: self.cfg.fleet.hub_capacity,
-            flap_limit: self.cfg.fleet.flap_limit,
-            start_round: 0,
-            clock_us: 0,
+            hours: fleet.hours,
+            sync_interval_hours: fleet.sync_interval_hours,
+            sync: fleet.sync,
+            shards: fleet.shards.max(1),
+            hub_capacity: fleet.hub_capacity,
+            flap_limit: fleet.flap_limit,
+            start_round: schedule.start_round,
+            clock_us: schedule.clock_offset_us,
         };
         let probe_cfg = campaign
             .engine_config(0)
@@ -204,71 +210,32 @@ impl HubServer {
         // (needed to rebuild relation graphs from wire text) and the
         // reporting label. Seed-independent, like `Fleet::resume_durable`'s
         // recovery probe.
-        let probe = FuzzingEngine::new(spec.clone().boot(), probe_cfg.clone());
-        let table = probe.desc_table().clone();
-        drop(probe);
-
-        let total_us = (campaign.hours * HOUR_US as f64) as u64;
-        let interval_us = ((campaign.sync_interval_hours * HOUR_US as f64) as u64).max(1);
-        let total_rounds = (total_us.div_ceil(interval_us) as usize).max(1);
-        let start_round = resume.map_or(0, |s| s.round.min(total_rounds));
-        let clock_offset_us = resume.map_or(0, |s| s.clock_us.min(total_us));
-        let campaign =
-            CampaignSpec { start_round, clock_us: clock_offset_us, ..campaign };
-
-        let mut hub = CorpusHub::new(campaign.hub_capacity);
-        if let Some(snap) = resume {
-            snap.restore_into(&mut hub);
-            if !snap.relations_text.is_empty() {
-                let mut graph = RelationGraph::new(&table);
-                graph.import(&snap.relations_text, &table);
-                hub.set_relations(graph);
-            }
-        }
+        let table = FuzzingEngine::new(spec.clone().boot(), probe_cfg.clone()).desc_table().clone();
+        let sync = HubRound::new(fleet, schedule, &table, resume, persist);
 
         let (events_tx, events_rx) = mpsc::channel::<Event>();
         let stop = Arc::new(AtomicBool::new(false));
         let accept = spawn_accept_thread(listener, events_tx.clone(), Arc::clone(&stop));
 
         let mut core = HubCore {
-            cfg: &self.cfg,
             campaign,
             table,
             fuzzer: probe_cfg.variant.to_string(),
             device_id: spec.meta.id.clone(),
-            total_us,
-            interval_us,
-            total_rounds,
-            start_round,
-            hub,
+            sync,
             sessions: Vec::new(),
             slots: Vec::new(),
             pending: BTreeMap::new(),
             parked_pulls: Vec::new(),
             crash_lists: BTreeMap::new(),
-            applied_next: start_round,
-            finalized_next: start_round,
-            rounds_completed: start_round,
-            clock_us: clock_offset_us,
-            snapshot_text: resume.map_or_else(String::new, FleetSnapshot::to_text),
-            snapshots_skipped: 0,
+            applied_next: schedule.start_round,
             seeds_published: 0,
             seeds_pulled: 0,
-            killed: false,
-            done: false,
-            baseline_faults: resume.map_or_else(FaultCounters::default, |s| s.fault_totals),
-            baseline_lint: resume.map_or_else(LintCounters::default, |s| s.lint_totals),
-            baseline_store: resume.map_or_else(StoreCounters::default, |s| s.store_totals),
-            baseline_net: resume.map_or_else(NetCounters::default, |s| s.net_totals),
             retired_net: NetCounters::default(),
             hub_net: NetCounters::default(),
             final_net: None,
             events_tx,
-            persist,
         };
-        if let Some(sink) = core.persist.as_deref_mut() {
-            sink.on_start(&core.hub, &core.table);
-        }
 
         let outcome = core.run(&events_rx);
         stop.store(true, Ordering::SeqCst);
@@ -305,17 +272,13 @@ fn spawn_accept_thread<L: Listener + 'static>(
     })
 }
 
-struct HubCore<'a> {
-    cfg: &'a ServeConfig,
+struct HubCore<'r, 'p> {
     campaign: CampaignSpec,
     table: DescTable,
     fuzzer: String,
     device_id: String,
-    total_us: u64,
-    interval_us: u64,
-    total_rounds: usize,
-    start_round: usize,
-    hub: CorpusHub,
+    /// The hub, its persist sink and checkpoint cadence.
+    sync: HubRound<'r, 'p>,
     sessions: Vec<Session>,
     slots: Vec<Slot>,
     /// Buffered pushes: round → shard → update.
@@ -326,35 +289,23 @@ struct HubCore<'a> {
     crash_lists: BTreeMap<usize, Vec<CrashRecord>>,
     /// Next round to apply (all rounds below are in the hub).
     applied_next: usize,
-    /// Next round to finalize (persist + `RoundAck`).
-    finalized_next: usize,
-    rounds_completed: usize,
-    clock_us: u64,
-    snapshot_text: String,
-    snapshots_skipped: u64,
     seeds_published: usize,
     seeds_pulled: usize,
-    killed: bool,
-    done: bool,
-    baseline_faults: FaultCounters,
-    baseline_lint: LintCounters,
-    baseline_store: StoreCounters,
-    baseline_net: NetCounters,
     /// Counters of sessions that have died (absorbed at death).
     retired_net: NetCounters,
     /// Hub-level protocol accounting: sessions accepted, duplicate
     /// messages suppressed above the frame layer.
     hub_net: NetCounters,
-    /// Net totals frozen at the last finalized round — what the final
-    /// snapshot carried, kept deterministic by excluding drain traffic.
+    /// Net totals frozen at the final round — what the final snapshot
+    /// carried, kept deterministic by excluding drain traffic. Set once
+    /// the campaign is done.
     final_net: Option<NetCounters>,
     events_tx: Sender<Event>,
-    persist: Option<&'a mut dyn FleetPersist>,
 }
 
-impl HubCore<'_> {
+impl HubCore<'_, '_> {
     fn run(&mut self, events: &Receiver<Event>) -> Result<(), NetError> {
-        while !self.done {
+        while self.final_net.is_none() {
             let event = events
                 .recv_timeout(IDLE_TIMEOUT)
                 .map_err(|_| NetError::Io("hub idle timeout: no worker activity".into()))?;
@@ -595,22 +546,9 @@ impl HubCore<'_> {
             .is_some_and(|r| r.len() == self.campaign.shards)
         {
             let round = self.applied_next;
-            let updates = self.pending.remove(&round).expect("checked above");
-            // Shard-id order (BTreeMap iteration), exactly the local
-            // sequential sync section.
-            for (shard, wire) in updates {
-                self.crash_lists.insert(shard, wire.crashes.clone());
-                let update = ShardUpdate {
-                    shard,
-                    corpus_delta: wire.corpus_delta,
-                    new_blocks: wire.new_blocks.into_iter().map(Block).collect(),
-                    relations: wire.relations_text.map(|text| {
-                        let mut graph = RelationGraph::new(&self.table);
-                        graph.import(&text, &self.table);
-                        graph
-                    }),
-                };
-                self.seeds_published += self.hub.apply_update(&update);
+            let mut pushed = self.pending.remove(&round).expect("checked above");
+            for (&shard, wire) in &mut pushed {
+                self.crash_lists.insert(shard, std::mem::take(&mut wire.crashes));
             }
             let dbs: Vec<CrashDb> = (0..self.campaign.shards)
                 .map(|shard| {
@@ -621,17 +559,26 @@ impl HubCore<'_> {
                     db
                 })
                 .collect();
-            self.hub.sync_crashes(dbs.iter());
-            self.hub.record_sample(self.global_target(round));
+            // Shard-id order (BTreeMap iteration), as the local fleet
+            // applies its updates; each graph is rebuilt just before it
+            // is applied.
+            let table = &self.table;
+            let updates = pushed.into_iter().map(|(shard, wire)| ShardUpdate {
+                shard,
+                corpus_delta: wire.corpus_delta,
+                new_blocks: wire.new_blocks.into_iter().map(Block).collect(),
+                relations: wire.relations_text.map(|text| {
+                    let mut graph = RelationGraph::new(table);
+                    graph.import(&text, table);
+                    graph
+                }),
+            });
+            self.seeds_published += self.sync.apply(round, updates, &dbs);
             self.applied_next = round + 1;
         }
-        let ready: Vec<ParkedPull> = {
-            let applied = self.applied_next;
-            let (ready, waiting) =
-                std::mem::take(&mut self.parked_pulls).into_iter().partition(|p| p.barrier <= applied);
-            self.parked_pulls = waiting;
-            ready
-        };
+        let applied = self.applied_next;
+        let ready: Vec<ParkedPull> =
+            self.parked_pulls.extract_if(.., |p| p.barrier <= applied).collect();
         for pull in ready {
             self.answer_pull(pull);
         }
@@ -642,17 +589,18 @@ impl HubCore<'_> {
             return;
         }
         let (corpus_text, cursor, delivered) = if pull.full {
-            (self.hub.corpus_text(), self.hub.tip(), self.hub.len() as u64)
+            let hub = &self.sync.hub;
+            (hub.corpus_text(), hub.tip(), hub.len() as u64)
         } else {
-            let (text, cursor, count) = self.hub.pull_corpus(pull.shard, pull.cursor);
+            let (text, cursor, count) = self.sync.hub.pull_corpus(pull.shard, pull.cursor);
             (text, cursor, count as u64)
         };
         self.seeds_pulled += delivered as usize;
-        let rev = self.hub.relations().map_or(0, RelationGraph::revision);
+        let rev = self.sync.hub.relations().map_or(0, RelationGraph::revision);
         let sent_rev = self.sessions[pull.session].relations_rev_sent;
         let relations_text = if rev > sent_rev {
             self.sessions[pull.session].relations_rev_sent = rev;
-            self.hub.relations().map(|g| g.export(&self.table))
+            self.sync.hub.relations().map(|g| g.export(&self.table))
         } else {
             None
         };
@@ -682,7 +630,7 @@ impl HubCore<'_> {
         if slot.done_round.is_some_and(|done| done >= round) {
             // Reconnect replay of a finalized round: just re-ack it.
             self.hub_net.dup_frames += 1;
-            let (_, continue_campaign) = self.round_fate(round);
+            let continue_campaign = !self.sync.fate(round).1;
             self.enqueue(session, &Message::RoundAck { round, continue_campaign });
             return;
         }
@@ -694,18 +642,11 @@ impl HubCore<'_> {
         self.finalize_ready_rounds();
     }
 
-    /// `(is_kill, continue_campaign)` for a finalized round — a pure
-    /// function so replayed `RoundDone`s get byte-identical re-acks.
-    fn round_fate(&self, round: usize) -> (bool, bool) {
-        let rounds_this_run = (round + 1) - self.start_round;
-        let is_kill = self.cfg.fleet.kill_after_rounds == Some(rounds_this_run);
-        let is_last = round + 1 == self.total_rounds;
-        (is_kill, !(is_kill || is_last))
-    }
-
+    /// Closes every applied round all workers have reported, in order;
+    /// the next one to close is the first round not yet completed.
     fn finalize_ready_rounds(&mut self) {
-        loop {
-            let round = self.finalized_next;
+        while self.final_net.is_none() {
+            let round = self.sync.rounds_completed;
             let assigned: usize = self.slots.iter().map(|s| s.shards).sum();
             let all_done = assigned == self.campaign.shards
                 && !self.slots.is_empty()
@@ -714,104 +655,37 @@ impl HubCore<'_> {
                 return;
             }
             self.finalize_round(round);
-            self.finalized_next = round + 1;
-            if self.done {
-                return;
-            }
         }
     }
 
     fn finalize_round(&mut self, round: usize) {
-        self.rounds_completed = round + 1;
-        self.clock_us = self.global_target(round);
-        let fault_totals = self.fleet_fault_totals();
-        let lint_totals = self.fleet_lint_totals();
-        let baseline_net = self.baseline_net;
-        if let Some(sink) = self.persist.as_deref_mut() {
-            sink.on_round(
-                &self.hub,
-                &self.table,
-                self.rounds_completed,
-                self.clock_us,
-                &fault_totals,
-                &lint_totals,
-                &baseline_net,
-            );
-        }
-
-        // Checkpoint cadence copied from the local orchestrator; the
-        // snapshot's net section carries the live wire totals, frozen
+        let totals = self.totals();
+        // The snapshot's net section carries the live wire totals, frozen
         // *before* the round-acks go out so the value is deterministic.
-        let rounds_this_run = self.rounds_completed - self.start_round;
-        let (is_kill, continue_campaign) = self.round_fate(round);
-        let is_last = self.rounds_completed == self.total_rounds;
-        let checkpoint_interval = self.cfg.fleet.checkpoint_interval_rounds.max(1);
         let net_now = self.net_totals_now();
-        if is_kill || is_last || rounds_this_run.is_multiple_of(checkpoint_interval) {
-            let mut store_totals = self.baseline_store;
-            if let Some(sink) = self.persist.as_deref() {
-                store_totals.absorb(&sink.counters());
-            }
-            store_totals.snapshots_skipped += self.snapshots_skipped;
-            let snap = FleetSnapshot::capture(
-                &self.hub,
-                &self.table,
-                self.rounds_completed,
-                self.clock_us,
-                fault_totals,
-                lint_totals,
-                store_totals,
-                net_now,
-            );
-            self.snapshot_text = snap.to_text();
-            if let Some(sink) = self.persist.as_deref_mut() {
-                sink.on_checkpoint(&snap);
-            }
-        } else {
-            self.snapshots_skipped += 1;
-        }
-
+        let continue_campaign = self.sync.finish(round, &self.table, totals, net_now);
         let live: Vec<usize> =
             self.sessions.iter().enumerate().filter(|(_, s)| s.alive).map(|(i, _)| i).collect();
         for session in live {
             self.enqueue(session, &Message::RoundAck { round, continue_campaign });
         }
         if !continue_campaign {
-            self.killed = is_kill;
             self.final_net = Some(net_now);
-            self.done = true;
         }
     }
 
-    fn global_target(&self, round: usize) -> u64 {
-        (self.interval_us * (round as u64 + 1)).min(self.total_us)
-    }
-
-    fn fleet_fault_totals(&self) -> FaultCounters {
-        let mut totals = self.baseline_faults;
-        for slot in &self.slots {
-            for stat in slot.stats.values() {
-                totals.absorb(&stat.faults);
-            }
-        }
-        totals
-    }
-
-    fn fleet_lint_totals(&self) -> LintCounters {
-        let mut totals = self.baseline_lint;
-        for slot in &self.slots {
-            for stat in slot.stats.values() {
-                totals.absorb(&stat.lint);
-            }
-        }
-        totals
+    /// Campaign-wide fault and lint-gate counters from the latest
+    /// worker round reports.
+    fn totals(&self) -> Totals {
+        let reports = self.slots.iter().flat_map(|slot| slot.stats.values());
+        self.sync.totals(reports.map(|w| (w.faults, w.lint)))
     }
 
     /// Current fleet-wide wire totals: resume baseline, dead-session
     /// counters, live-session counters, worker-reported counters, and
     /// the hub's own protocol accounting.
     fn net_totals_now(&self) -> NetCounters {
-        let mut totals = self.baseline_net;
+        let mut totals = self.sync.baseline_net();
         totals.absorb(&self.retired_net);
         for session in self.sessions.iter().filter(|s| s.alive) {
             totals.absorb(&session.tx);
@@ -824,52 +698,47 @@ impl HubCore<'_> {
         totals
     }
 
-    fn into_result(self) -> HubResult {
+    fn into_result(mut self) -> HubResult {
         let net_totals = self.final_net.unwrap_or_else(|| self.net_totals_now());
         let mut shard_stats: Vec<ShardStats> = (0..self.campaign.shards)
             .map(|shard| ShardStats { shard, ..ShardStats::default() })
             .collect();
-        for slot in &self.slots {
-            for (shard, w) in &slot.stats {
-                if let Some(s) = shard_stats.get_mut(*shard) {
-                    *s = ShardStats {
-                        shard: *shard,
-                        heartbeats: w.heartbeats as usize,
-                        executions: w.executions,
-                        clock_us: w.clock_us,
-                        corpus_len: w.corpus_len,
-                        coverage: w.coverage,
-                        crashes: w.crashes,
-                        restored_seeds: w.restored_seeds,
-                        faults: w.faults,
-                        lint: w.lint,
-                        restarts: w.restarts,
-                        quarantines: w.quarantines,
-                    };
-                }
+        for w in self.slots.iter().flat_map(|slot| slot.stats.values()) {
+            if let Some(s) = shard_stats.get_mut(w.shard) {
+                *s = ShardStats {
+                    shard: w.shard,
+                    heartbeats: w.heartbeats as usize,
+                    executions: w.executions,
+                    clock_us: w.clock_us,
+                    corpus_len: w.corpus_len,
+                    coverage: w.coverage,
+                    crashes: w.crashes,
+                    restored_seeds: w.restored_seeds,
+                    faults: w.faults,
+                    lint: w.lint,
+                    restarts: w.restarts,
+                    quarantines: w.quarantines,
+                };
             }
         }
         let executions = shard_stats.iter().map(|s| s.executions).sum();
         let shard_restarts = shard_stats.iter().map(|s| u64::from(s.restarts)).sum();
         let shard_quarantines = shard_stats.iter().map(|s| u64::from(s.quarantines)).sum();
-        let mut store_totals = self.baseline_store;
-        if let Some(sink) = self.persist.as_deref() {
-            store_totals.absorb(&sink.counters());
-        }
-        store_totals.snapshots_skipped += self.snapshots_skipped;
+        let (fault_totals, lint_totals) = self.totals();
+        let hub = &self.sync.hub;
         let stats = FleetStats {
-            sync_rounds: self.rounds_completed - self.start_round,
+            sync_rounds: self.sync.rounds_completed - self.campaign.start_round,
             seeds_published: self.seeds_published,
             seeds_pulled: self.seeds_pulled,
-            hub_seeds: self.hub.len(),
-            hub_edges: self.hub.relations().map_or(0, RelationGraph::edge_count),
-            union_coverage: self.hub.union_coverage(),
+            hub_seeds: hub.len(),
+            hub_edges: hub.relations().map_or(0, RelationGraph::edge_count),
+            union_coverage: hub.union_coverage(),
             workers: self.slots.len(),
-            fault_totals: self.fleet_fault_totals(),
-            lint_totals: self.fleet_lint_totals(),
+            fault_totals,
+            lint_totals,
             shard_restarts,
             shard_quarantines,
-            snapshots_skipped: self.snapshots_skipped,
+            snapshots_skipped: self.sync.snapshots_skipped,
             net_totals,
             events: 0,
             shards: shard_stats,
@@ -877,17 +746,17 @@ impl HubCore<'_> {
         HubResult {
             device_id: self.device_id,
             fuzzer: self.fuzzer,
-            crashes: self.hub.crashes().records().into_iter().cloned().collect(),
-            union_coverage: self.hub.union_coverage(),
+            crashes: hub.crashes().records().into_iter().cloned().collect(),
+            union_coverage: hub.union_coverage(),
             executions,
-            rounds_completed: self.rounds_completed,
-            clock_us: self.clock_us,
-            snapshot: self.snapshot_text,
-            finished: !self.killed && self.rounds_completed == self.total_rounds,
+            rounds_completed: self.sync.rounds_completed,
+            clock_us: self.sync.clock_us,
+            snapshot: self.sync.snapshot_text(),
+            finished: self.sync.finished(),
             workers: stats.workers,
-            fault_totals: stats.fault_totals,
-            lint_totals: stats.lint_totals,
-            store_totals,
+            fault_totals,
+            lint_totals,
+            store_totals: self.sync.store_totals(),
             net_totals,
             stats,
         }

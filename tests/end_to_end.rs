@@ -3,7 +3,7 @@
 //! together.
 
 use droidfuzz_repro::droidfuzz::baselines::{difuze, syz};
-use droidfuzz_repro::droidfuzz::daemon::Daemon;
+use droidfuzz_repro::droidfuzz::fleet::{Fleet, FleetConfig};
 use droidfuzz_repro::droidfuzz::{FuzzerConfig, FuzzingEngine};
 use droidfuzz_repro::simdevice::catalog;
 
@@ -73,11 +73,20 @@ fn difuze_extraction_and_generation_work() {
 
 #[test]
 fn daemon_campaign_is_reproducible_per_seed() {
-    let daemon = Daemon::new();
+    // The daemon's repeated campaign: two unsynced single-round repeats.
+    let fleet = Fleet::new(FleetConfig {
+        shards: 2,
+        hours: 0.05,
+        sync_interval_hours: 0.05,
+        sync: false,
+        ..FleetConfig::default()
+    });
     let spec = catalog::device_e();
-    let a = daemon.run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 2);
-    let b = daemon.run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 2);
-    assert_eq!(a.final_coverage, b.final_coverage, "same seeds → same results");
+    let finals = || {
+        let result = fleet.run(&spec, FuzzerConfig::droidfuzz);
+        result.shards.iter().map(|s| s.final_coverage).collect::<Vec<_>>()
+    };
+    assert_eq!(finals(), finals(), "same seeds → same results");
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Fleet orchestration integration tests: determinism of sharded synced
 //! campaigns, fault-injection kill/resume through the text snapshot, and
-//! the daemon's single-slice special case riding the same path.
+//! the paper daemon's repeated campaigns — unsynced single-round fleets
+//! with one shard per repeat — riding the same path.
 
 use droidfuzz_repro::droidfuzz::config::FuzzerConfig;
-use droidfuzz_repro::droidfuzz::daemon::Daemon;
 use droidfuzz_repro::droidfuzz::fleet::{Fleet, FleetConfig, FleetResult, SNAPSHOT_HEADER};
+use droidfuzz_repro::droidfuzz::store::{RecoveryOutcome, SimMedium};
 use droidfuzz_repro::simdevice::catalog;
 use droidfuzz_repro::simdevice::faults::{FaultProfile, FaultRates};
 use proptest::prelude::*;
@@ -337,32 +338,113 @@ proptest! {
     }
 }
 
-/// The daemon's repeated-campaign entry point is the unsynced single-slice
-/// special case of the fleet path and keeps its aggregate shape.
+/// The paper daemon's repeated campaign on device E: `repeats`
+/// independent repeats of `hours` virtual hours, as one unsynced fleet
+/// round with one shard per repeat.
+fn repeats(hours: f64, repeats: usize, threads: usize) -> Fleet {
+    Fleet::new(FleetConfig {
+        shards: repeats,
+        hours,
+        sync_interval_hours: hours,
+        sync: false,
+        threads,
+        ..FleetConfig::default()
+    })
+}
+
+fn final_coverage(result: &FleetResult) -> Vec<f64> {
+    result.shards.iter().map(|s| s.final_coverage).collect()
+}
+
+/// The repeated campaign is the unsynced single-slice special case of the
+/// fleet path and keeps its aggregate shape.
 #[test]
 fn daemon_campaign_rides_the_fleet_path() {
-    let result =
-        Daemon::new().run_campaign(&catalog::device_e(), FuzzerConfig::droidfuzz, 0.05, 2);
+    let result = repeats(0.05, 2, 0).run(&catalog::device_e(), FuzzerConfig::droidfuzz);
     assert_eq!(result.device_id, "E");
     assert_eq!(result.fuzzer, "DroidFuzz");
-    assert_eq!(result.final_coverage.len(), 2);
+    assert_eq!(final_coverage(&result).len(), 2);
     assert!(result.executions > 0);
     assert!(!result.mean_series.is_empty());
     assert_eq!(result.fault_totals.total(), 0, "reliable by default");
 }
 
-/// The daemon's thread cap is plumbed through to the fleet and keeps the
-/// campaign results bit-identical.
+/// The repeats aggregate into one result: per-repeat final coverage,
+/// their mean, and summed executions, in one round with no exchange.
+#[test]
+fn unsynced_repeats_aggregate_into_one_result() {
+    let result = repeats(0.05, 3, 0).run(&catalog::device_e(), FuzzerConfig::droidfuzz);
+    assert_eq!(result.device_id, "E");
+    assert_eq!(result.fuzzer, "DroidFuzz");
+    assert_eq!(final_coverage(&result).len(), 3);
+    assert_eq!(result.rounds_completed, 1, "one round spans the whole campaign");
+    assert!(result.mean_final_coverage() > 0.0);
+    assert_eq!(result.executions, result.shards.iter().map(|s| s.executions).sum::<u64>());
+    assert!(result.executions > 0);
+    assert!(!result.mean_series.is_empty());
+    assert_eq!(result.stats.seeds_pulled, 0, "repeats exchange nothing");
+    assert_eq!(result.fault_totals.total(), 0, "default profile injects nothing");
+}
+
+/// The thread cap keeps the repeated campaign's results bit-identical.
 #[test]
 fn daemon_thread_cap_does_not_change_results() {
     let spec = catalog::device_e();
-    let wide = Daemon::new().run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 3);
-    let narrow =
-        Daemon::new().with_threads(1).run_campaign(&spec, FuzzerConfig::droidfuzz, 0.05, 3);
-    assert_eq!(wide.final_coverage, narrow.final_coverage);
+    let wide = repeats(0.05, 3, 0).run(&spec, FuzzerConfig::droidfuzz);
+    let narrow = repeats(0.05, 3, 1).run(&spec, FuzzerConfig::droidfuzz);
+    assert_eq!(final_coverage(&wide), final_coverage(&narrow));
     assert_eq!(wide.executions, narrow.executions);
     assert_eq!(
         wide.crashes.iter().map(|c| &c.title).collect::<Vec<_>>(),
         narrow.crashes.iter().map(|c| &c.title).collect::<Vec<_>>()
     );
+}
+
+/// Under the flaky profile the repeats report injected faults and still
+/// make progress.
+#[test]
+fn unsynced_repeats_under_flaky_profile_report_faults() {
+    let mk = |seed| FuzzerConfig::droidfuzz(seed).with_fault_profile(FaultProfile::Flaky);
+    let result = repeats(0.1, 2, 0).run(&catalog::device_e(), mk);
+    assert!(result.fault_totals.injected > 0, "flaky devices see injected faults");
+    assert!(result.mean_final_coverage() > 0.0, "coverage still accrues under faults");
+    assert!(result.executions > 0);
+}
+
+/// A crash found by several repeats appears once in the aggregate.
+#[test]
+fn unsynced_repeats_deduplicate_crashes() {
+    // Device E's querycap bug is shallow enough to appear in most short
+    // runs; across repeats it must appear once in the aggregate.
+    let result = repeats(0.4, 2, 0).run(&catalog::device_e(), FuzzerConfig::droidfuzz);
+    let querycaps = result.crashes.iter().filter(|c| c.title.contains("v4l_querycap")).count();
+    assert!(querycaps <= 1, "dedup failed: {:?}", result.crashes);
+    let found_by = result
+        .shards
+        .iter()
+        .filter(|s| s.crash_titles.iter().any(|t| t.contains("v4l_querycap")))
+        .count();
+    assert_eq!(querycaps, found_by.min(1), "every repeat's crash reaches the aggregate");
+}
+
+/// A durable repeated campaign runs fresh on an empty medium, and a
+/// second campaign on the now-occupied medium resumes cleanly from it.
+#[test]
+fn durable_repeats_run_fresh_then_resume_from_the_same_medium() {
+    let spec = catalog::device_e();
+    let medium = SimMedium::new();
+    let first = repeats(0.05, 2, 0)
+        .run_durable(&spec, FuzzerConfig::droidfuzz, medium.clone())
+        .expect("fresh medium starts a campaign");
+    assert!(first.store_totals.snapshots_written > 0);
+    assert!(first.mean_final_coverage() > 0.0);
+    assert!(
+        repeats(0.05, 2, 0).run_durable(&spec, FuzzerConfig::droidfuzz, medium.clone()).is_err(),
+        "an occupied medium must not restart from scratch"
+    );
+    let (second, report) = repeats(0.05, 2, 0)
+        .resume_durable(&spec, FuzzerConfig::droidfuzz, medium)
+        .expect("occupied medium resumes");
+    assert_eq!(report.outcome, RecoveryOutcome::Clean);
+    assert!(second.store_totals.recoveries >= 1);
 }

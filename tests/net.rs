@@ -392,3 +392,44 @@ fn distributed_kill_resume_matches_local_kill_resume() {
         "resume must absorb the killed run's net baseline"
     );
 }
+
+// ---------------------------------------------------------------------
+// Campaign shapes
+// ---------------------------------------------------------------------
+
+/// The hub's round loop agrees with the local fleet's on every campaign
+/// shape: unsynced repeats, a coarse checkpoint cadence, a kill between
+/// cadence checkpoints, and all three at once. Five rounds of 0.05 h,
+/// three shards split 2+1 over two workers.
+#[test]
+fn hub_matches_local_fleet_across_campaign_shapes() {
+    let spec = catalog::device_a1();
+    // (sync, checkpoint cadence, kill after, snapshots skipped)
+    let shapes = [
+        (false, 1, None, 0),
+        (true, 3, None, 3),
+        (true, 3, Some(2), 1),
+        (false, 2, Some(4), 2),
+    ];
+    for (i, &(sync, cadence, kill_after_rounds, skipped)) in shapes.iter().enumerate() {
+        let fleet = FleetConfig {
+            hours: 0.25,
+            sync,
+            checkpoint_interval_rounds: cadence,
+            ..quick_fleet(3, kill_after_rounds)
+        };
+        let label = format!("sync={sync} cadence={cadence} kill={kill_after_rounds:?}");
+        let local = Fleet::new(fleet.clone()).run(&spec, FuzzerConfig::droidfuzz);
+        let (hub, workers) = run_distributed(fleet, &[2, 1], reliable(), 40 + i as u64, None);
+        assert_eq!(strip_net(&hub.snapshot), strip_net(&local.snapshot), "{label}: snapshot");
+        assert_eq!(hub.executions, local.executions, "{label}: executions");
+        assert_eq!(hub.finished, local.finished, "{label}: finished");
+        assert_eq!(hub.finished, kill_after_rounds.is_none(), "{label}: only a kill stops early");
+        assert!(workers.iter().all(|w| w.finished == hub.finished), "{label}: workers agree");
+        assert_eq!(hub.store_totals.snapshots_skipped, skipped, "{label}: store skipped");
+        assert_eq!(local.store_totals.snapshots_skipped, skipped, "{label}: local skipped");
+        assert_eq!(hub.stats.snapshots_skipped, local.stats.snapshots_skipped, "{label}");
+        assert_eq!(hub.stats.seeds_published, local.stats.seeds_published, "{label}: published");
+        assert_eq!(hub.stats.seeds_pulled, local.stats.seeds_pulled, "{label}: pulled");
+    }
+}
