@@ -35,7 +35,9 @@
 //! relation graph of a fixed-seed 4-shard, 6-virtual-hour campaign on the
 //! device and times the §IV-C operations fleet sync and generation call
 //! most: `merge_from` (`merge_us`), `learn` (`learn_us`) and
-//! `relational_generate` (`generate_us`), each the best of eleven timed
+//! `relational_generate` (`generate_us`), plus one text `export`
+//! (`export_us`) and one `import` (`import_us`) of the whole graph, the
+//! form the graph crosses the wire in; each the best of eleven timed
 //! repetitions, next to the graph's `edges`. The same campaign's hub
 //! corpus, restored into an engine corpus of `seeds` seeds, times the
 //! program text every sync round moves seeds through: writing the corpus
@@ -138,11 +140,12 @@ fn best_us_per_call<S>(calls: usize, setup: impl Fn() -> S, run: impl Fn(&mut S)
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The `sync_hot_paths` arm: times relation-graph merge and learn and
-/// relational generation on a campaign's hub graph, and the program text
-/// codec on its hub corpus.
+/// The `sync_hot_paths` arm: times relation-graph merge and learn,
+/// relational generation and the graph's text export and import on a
+/// campaign's hub graph, and the program text codec on its hub corpus.
 fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
     const MERGES: usize = 100;
+    const TEXTS: usize = 20;
     const LEARNS: usize = 20_000;
     const PROGS: usize = 2_000;
     let campaign = FleetConfig { shards: 4, hours: 6.0, ..FleetConfig::default() };
@@ -180,6 +183,19 @@ fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
             }
         },
     );
+    let export_us = best_us_per_call(TEXTS, || (), |()| {
+        for _ in 0..TEXTS {
+            std::hint::black_box(hub.export(table));
+        }
+    });
+    let text = hub.export(table);
+    let import_us = best_us_per_call(
+        TEXTS,
+        || vec![RelationGraph::new(table); TEXTS],
+        |graphs| graphs.iter_mut().for_each(|graph| {
+            graph.import(&text, table);
+        }),
+    );
 
     let mut corpus = Corpus::new();
     corpus.import(&snapshot.corpus_text, table);
@@ -197,11 +213,13 @@ fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
     println!(
         "\nsync hot paths ({edges}-edge hub graph, {seeds}-seed hub corpus): merge {merge_us:.1} us, \
          learn {learn_us:.3} us, relational_generate {generate_us:.2} us, \
+         export {export_us:.1} us, import {import_us:.1} us, \
          format {format_us:.2} us/seed, parse {parse_us:.2} us/seed"
     );
     println!(
         "{{\"bench\":\"sync_hot_paths\",\"device\":\"{device}\",\"edges\":{edges},\
          \"merge_us\":{merge_us:.2},\"learn_us\":{learn_us:.4},\"generate_us\":{generate_us:.3},\
+         \"export_us\":{export_us:.2},\"import_us\":{import_us:.2},\
          \"seeds\":{seeds},\"format_us\":{format_us:.3},\"parse_us\":{parse_us:.3}}}"
     );
 }

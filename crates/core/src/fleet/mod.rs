@@ -73,7 +73,7 @@ pub use persist::{FleetPersist, FleetStore, DEFAULT_KEEP};
 pub use shard::{Shard, ShardUpdate};
 pub use snapshot::{FleetSnapshot, SNAPSHOT_HEADER};
 
-pub(crate) use round::{HubRound, Schedule, ShardRound, Totals};
+pub(crate) use round::{on_workers, HubRound, Schedule, ShardRound, Totals};
 
 use crate::config::FuzzerConfig;
 use crate::crashes::CrashRecord;

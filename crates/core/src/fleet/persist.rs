@@ -9,6 +9,14 @@
 //! compacted into a new snapshot generation. [`FleetStore`] is the real
 //! implementation; tests can substitute their own sink.
 //!
+//! Each round journals only what changed since the mirrors the store
+//! keeps of what it already wrote. The relation graph's mirror is
+//! structural: every edge's weight bits keyed by the name ranks of its
+//! ends, read straight from the graph. It yields the records diffing the
+//! graph's export text would (the same records in the same name order)
+//! without writing or parsing that text, and formats names and weights
+//! only for the records it appends.
+//!
 //! Durability is *best-effort by design*: every storage failure is
 //! counted into [`StoreCounters::io_errors`] and the campaign keeps
 //! fuzzing — a full disk degrades persistence, it never kills the fleet.
@@ -17,13 +25,14 @@ use super::hub::CorpusHub;
 use super::snapshot::{crash_fields, FleetSnapshot};
 use crate::crashes::dedup_key;
 use crate::net::NetCounters;
+use crate::relation::RelationGraph;
 use crate::store::journal::{journal_name, parse_journal_name, Journal};
-use crate::store::recovery::{parse_relations, Recovered, FLEET_SECTION};
+use crate::store::recovery::{Recovered, FLEET_SECTION};
 use crate::store::snapshot_store::{parse_snapshot_name, SnapshotStore};
 use crate::store::{FleetDelta, StorageMedium, StoreCounters, StoreError};
 use crate::supervisor::FaultCounters;
 use droidfuzz_analysis::{CounterFamily, CounterRecord, LintCounters};
-use fuzzlang::desc::DescTable;
+use fuzzlang::desc::{DescId, DescTable};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Snapshot generations the ring keeps by default — enough to survive a
@@ -78,8 +87,7 @@ pub struct FleetStore<M: StorageMedium + Clone> {
     baseline: StoreCounters,
     // Diff mirrors: what the journal already reflects.
     seed_cursor: u64,
-    learns: u64,
-    edges: BTreeMap<(String, String), String>,
+    relations: RelationMirror,
     blocks: BTreeSet<u64>,
     /// `dedup key → rendered crash fields` — a change in any field
     /// re-journals the record (upsert semantics on replay).
@@ -112,8 +120,7 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
             counters: StoreCounters::default(),
             baseline: StoreCounters::default(),
             seed_cursor: 0,
-            learns: 0,
-            edges: BTreeMap::new(),
+            relations: RelationMirror::default(),
             blocks: BTreeSet::new(),
             crashes: BTreeMap::new(),
             series_len: 0,
@@ -149,8 +156,7 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
             counters,
             baseline: recovered.snapshot.store_totals,
             seed_cursor: 0,
-            learns: 0,
-            edges: BTreeMap::new(),
+            relations: RelationMirror::default(),
             blocks: BTreeSet::new(),
             crashes: BTreeMap::new(),
             series_len: 0,
@@ -174,6 +180,76 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
             }
             Err(_) => self.counters.io_errors += 1,
         }
+    }
+
+    /// Appends one round's records: the hub's fresh seeds, the relation
+    /// records already diffed, fresh coverage blocks, changed crashes,
+    /// new series samples, changed counter families (faults, lint, net),
+    /// the store totals and the round marker.
+    fn journal_round(
+        &mut self,
+        hub: &CorpusHub,
+        relations: Vec<FleetDelta>,
+        round: usize,
+        clock_us: u64,
+        totals: [&dyn CounterFamily; 3],
+    ) {
+        let fresh_seeds: Vec<(usize, String)> = hub
+            .seeds_since(self.seed_cursor)
+            .map(|s| (s.signals, s.body.clone()))
+            .collect();
+        self.seed_cursor = hub.tip();
+        for (signals, body) in fresh_seeds {
+            self.append(&FleetDelta::Seed { signals, body });
+        }
+        for delta in &relations {
+            self.append(delta);
+        }
+
+        let fresh_blocks: Vec<u64> = hub
+            .coverage_blocks()
+            .iter()
+            .map(|b| b.0)
+            .filter(|b| !self.blocks.contains(b))
+            .collect();
+        if !fresh_blocks.is_empty() {
+            self.blocks.extend(fresh_blocks.iter().copied());
+            self.append(&FleetDelta::Blocks(fresh_blocks));
+        }
+
+        let changed_crashes: Vec<crate::crashes::CrashRecord> = hub
+            .crashes()
+            .records()
+            .into_iter()
+            .filter(|r| self.crashes.get(&dedup_key(&r.title)) != Some(&crash_fields(r)))
+            .cloned()
+            .collect();
+        for record in changed_crashes {
+            self.crashes.insert(dedup_key(&record.title), crash_fields(&record));
+            self.append(&FleetDelta::Crash(record));
+        }
+
+        let samples: Vec<(u64, f64)> =
+            hub.series().points().iter().skip(self.series_len).copied().collect();
+        self.series_len = hub.series().points().len();
+        for (t, v) in samples {
+            self.append(&FleetDelta::Sample { t, v });
+        }
+
+        for family in totals {
+            let record = CounterRecord::of(family);
+            if self.journaled_counters.get(family.table().section) != Some(&record) {
+                self.journaled_counters.insert(family.table().section, record.clone());
+                self.append(&FleetDelta::Counters(record));
+            }
+        }
+        // Durability counters, campaign-cumulative like the snapshot's
+        // store section (they trail by the bytes of this very record,
+        // which is fine: the next checkpoint squares them up).
+        let mut store_totals = self.baseline;
+        store_totals.absorb(&self.counters);
+        self.append(&FleetDelta::Counters(CounterRecord::of(&store_totals)));
+        self.append(&FleetDelta::Round { round, clock_us });
     }
 
     /// Prunes the snapshot ring and drops the journals of pruned
@@ -208,14 +284,99 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
     }
 }
 
+/// The journal's copy of the hub relation graph: its learn count and
+/// every edge's weight bits, keyed by the name ranks of the edge's ends
+/// so edges iterate in `(from, to)` name order, the order recovery
+/// replays the text form in. Two weights differ exactly when their
+/// shortest-roundtrip texts do, so comparing bits journals the same
+/// records as comparing the export text; names and weights are
+/// formatted only for the records written.
+#[derive(Debug, Default)]
+struct RelationMirror {
+    /// `rank[id]`: where description `id`'s name sorts among all names;
+    /// `None` for a name holding a tab or newline, which cannot sit in
+    /// one tab-separated record (recovery could never resolve it).
+    rank: Vec<Option<usize>>,
+    learns: u64,
+    /// `(rank of from, rank of to) → (from, to, weight bits)`.
+    edges: BTreeMap<(usize, usize), (DescId, DescId, u64)>,
+}
+
+impl RelationMirror {
+    /// Mirrors `graph` as already journaled.
+    fn prime(&mut self, graph: Option<&RelationGraph>, table: &DescTable) {
+        self.learns = graph.map_or(0, RelationGraph::learn_events);
+        self.edges = self.edges_of(graph, table);
+    }
+
+    /// The records that bring the journal from the mirrored graph to
+    /// `graph`, and mirrors it: the learn count if it moved, then every
+    /// pruned edge, then every new or re-weighted edge, each in name
+    /// order.
+    fn diff(&mut self, graph: Option<&RelationGraph>, table: &DescTable) -> Vec<FleetDelta> {
+        let learns = graph.map_or(0, RelationGraph::learn_events);
+        let edges = self.edges_of(graph, table);
+        let name = |id: DescId| table.get(id).name.clone();
+        let mut records = Vec::new();
+        if learns != self.learns {
+            records.push(FleetDelta::Learns(learns));
+        }
+        let pruned = self.edges.iter().filter(|(key, _)| !edges.contains_key(key));
+        records.extend(
+            pruned
+                .map(|(_, &(from, to, _))| FleetDelta::EdgeDel { from: name(from), to: name(to) }),
+        );
+        let changed =
+            edges.iter().filter(|(key, e)| self.edges.get(key).map(|old| old.2) != Some(e.2));
+        records.extend(changed.map(|(_, &(from, to, bits))| FleetDelta::Edge {
+            from: name(from),
+            to: name(to),
+            weight: f64::from_bits(bits).to_string(),
+        }));
+        (self.learns, self.edges) = (learns, edges);
+        records
+    }
+
+    /// `graph`'s journaled edges: those with both names ranked and a
+    /// finite, non-negative weight (what recovery accepts).
+    fn edges_of(
+        &mut self,
+        graph: Option<&RelationGraph>,
+        table: &DescTable,
+    ) -> BTreeMap<(usize, usize), (DescId, DescId, u64)> {
+        if self.rank.len() != table.len() {
+            self.rank = name_ranks(table);
+        }
+        let rank = |id: DescId| self.rank.get(id.0).copied().flatten();
+        graph
+            .into_iter()
+            .flat_map(RelationGraph::edges)
+            .filter(|&(_, _, w)| w.is_finite() && w >= 0.0)
+            .filter_map(|(from, to, w)| Some(((rank(from)?, rank(to)?), (from, to, w.to_bits()))))
+            .collect()
+    }
+}
+
+/// Every description's position in name order (byte-wise, as `String`
+/// sorts), `None` for names that cannot sit in a tab-separated record.
+fn name_ranks(table: &DescTable) -> Vec<Option<usize>> {
+    let mut order: Vec<usize> = (0..table.len()).collect();
+    order.sort_unstable_by(|&x, &y| table.get(DescId(x)).name.cmp(&table.get(DescId(y)).name));
+    let mut rank = vec![None; table.len()];
+    for (position, id) in order.into_iter().enumerate() {
+        let line_safe = !table.get(DescId(id)).name.contains(['\t', '\n']);
+        rank[id] = line_safe.then_some(position);
+    }
+    rank
+}
+
 impl<M: StorageMedium + Clone> FleetPersist for FleetStore<M> {
     fn on_start(&mut self, hub: &CorpusHub, table: &DescTable) {
         // Prime every mirror from the (possibly snapshot-restored) hub:
         // the seal/initial state is already durable, only changes from
         // here on need journaling.
         self.seed_cursor = hub.tip();
-        let export = hub.relations().map(|g| g.export(table)).unwrap_or_default();
-        (self.learns, self.edges, _) = parse_relations(&export);
+        self.relations.prime(hub.relations(), table);
         self.blocks = hub.coverage_blocks().iter().map(|b| b.0).collect();
         self.crashes = hub
             .crashes()
@@ -236,80 +397,9 @@ impl<M: StorageMedium + Clone> FleetPersist for FleetStore<M> {
         lint_totals: &LintCounters,
         net_totals: &NetCounters,
     ) {
-        let fresh_seeds: Vec<(usize, String)> = hub
-            .seeds_since(self.seed_cursor)
-            .map(|s| (s.signals, s.body.clone()))
-            .collect();
-        self.seed_cursor = hub.tip();
-        for (signals, body) in fresh_seeds {
-            self.append(&FleetDelta::Seed { signals, body });
-        }
-
-        let export = hub.relations().map(|g| g.export(table)).unwrap_or_default();
-        let (learns, edges, _) = parse_relations(&export);
-        if learns != self.learns {
-            self.append(&FleetDelta::Learns(learns));
-        }
-        let dropped: Vec<(String, String)> =
-            self.edges.keys().filter(|k| !edges.contains_key(*k)).cloned().collect();
-        for (from, to) in dropped {
-            self.append(&FleetDelta::EdgeDel { from: from.clone(), to: to.clone() });
-        }
-        let changed: Vec<((String, String), String)> = edges
-            .iter()
-            .filter(|(k, w)| self.edges.get(*k) != Some(w))
-            .map(|(k, w)| (k.clone(), w.clone()))
-            .collect();
-        for ((from, to), weight) in changed {
-            self.append(&FleetDelta::Edge { from, to, weight });
-        }
-        self.learns = learns;
-        self.edges = edges;
-
-        let fresh_blocks: Vec<u64> = hub
-            .coverage_blocks()
-            .iter()
-            .map(|b| b.0)
-            .filter(|b| !self.blocks.contains(b))
-            .collect();
-        if !fresh_blocks.is_empty() {
-            self.blocks.extend(fresh_blocks.iter().copied());
-            self.append(&FleetDelta::Blocks(fresh_blocks));
-        }
-
-        let changed_crashes: Vec<crate::crashes::CrashRecord> = hub
-            .crashes()
-            .records()
-            .into_iter()
-            .filter(|r| self.crashes.get(&dedup_key(&r.title)) != Some(&crash_fields(r)))
-            .cloned()
-            .collect();
-        for record in changed_crashes {
-            self.crashes.insert(dedup_key(&record.title), crash_fields(&record));
-            self.append(&FleetDelta::Crash(record));
-        }
-
-        let samples: Vec<(u64, f64)> =
-            hub.series().points().iter().skip(self.series_len).copied().collect();
-        self.series_len = hub.series().points().len();
-        for (t, v) in samples {
-            self.append(&FleetDelta::Sample { t, v });
-        }
-
-        for totals in [fault_totals as &dyn CounterFamily, lint_totals, net_totals] {
-            let record = CounterRecord::of(totals);
-            if self.journaled_counters.get(totals.table().section) != Some(&record) {
-                self.journaled_counters.insert(totals.table().section, record.clone());
-                self.append(&FleetDelta::Counters(record));
-            }
-        }
-        // Durability counters, campaign-cumulative like the snapshot's
-        // store section (they trail by the bytes of this very record,
-        // which is fine: the next checkpoint squares them up).
-        let mut store_totals = self.baseline;
-        store_totals.absorb(&self.counters);
-        self.append(&FleetDelta::Counters(CounterRecord::of(&store_totals)));
-        self.append(&FleetDelta::Round { round, clock_us });
+        let relations = self.relations.diff(hub.relations(), table);
+        let totals = [fault_totals as &dyn CounterFamily, lint_totals, net_totals];
+        self.journal_round(hub, relations, round, clock_us, totals);
     }
 
     fn on_checkpoint(&mut self, snapshot: &FleetSnapshot) {
@@ -343,6 +433,120 @@ impl<M: StorageMedium + Clone> FleetPersist for FleetStore<M> {
 mod tests {
     use super::*;
     use crate::store::{MediumFault, RecoveryManager, SimMedium};
+    use fuzzlang::desc::{CallDesc, CallKind};
+    use proptest::prelude::*;
+
+    /// The relation diff the structural mirror replaced: export the hub
+    /// graph and parse every line back each round.
+    mod reference {
+        use super::super::*;
+        use crate::store::recovery::parse_relations;
+
+        #[derive(Default)]
+        pub struct TextMirror {
+            learns: u64,
+            edges: BTreeMap<(String, String), String>,
+        }
+
+        impl TextMirror {
+            pub fn prime(&mut self, hub: &CorpusHub, table: &DescTable) {
+                let export = hub.relations().map(|g| g.export(table)).unwrap_or_default();
+                (self.learns, self.edges, _) = parse_relations(&export);
+            }
+
+            pub fn diff(&mut self, hub: &CorpusHub, table: &DescTable) -> Vec<FleetDelta> {
+                let export = hub.relations().map(|g| g.export(table)).unwrap_or_default();
+                let (learns, edges, _) = parse_relations(&export);
+                let mut records = Vec::new();
+                if learns != self.learns {
+                    records.push(FleetDelta::Learns(learns));
+                }
+                for (from, to) in self.edges.keys().filter(|k| !edges.contains_key(*k)) {
+                    records.push(FleetDelta::EdgeDel { from: from.clone(), to: to.clone() });
+                }
+                for ((from, to), weight) in &edges {
+                    if self.edges.get(&(from.clone(), to.clone())) != Some(weight) {
+                        let (from, to, weight) = (from.clone(), to.clone(), weight.clone());
+                        records.push(FleetDelta::Edge { from, to, weight });
+                    }
+                }
+                (self.learns, self.edges) = (learns, edges);
+                records
+            }
+        }
+    }
+
+    /// Calls whose name order is not their id order; one name holds a
+    /// tab, so its edges cannot be journaled by either diff.
+    const NAMES: [&str; 8] = ["m", "c", "x$1", "a", "tab\tname", "q", "b", "zz"];
+
+    fn shuffled_table() -> DescTable {
+        let mut t = DescTable::new();
+        for (code, name) in NAMES.into_iter().enumerate() {
+            let kind = CallKind::Hal { service: "s".into(), code: code as u32 };
+            t.add(CallDesc::new(name, kind, vec![], None));
+        }
+        t
+    }
+
+    proptest! {
+        /// Random learn, decay (pruning), merge and prior sequences,
+        /// journaled round by round through the structural mirror and
+        /// through the text diff, leave byte-identical media and equal
+        /// counters, whether the hub starts empty or snapshot-restored.
+        #[test]
+        fn structural_diff_journals_like_the_text_diff(
+            ops in prop::collection::vec((0u8..10, 0usize..NAMES.len(), 0usize..NAMES.len()), 1..60),
+            restored in 0u8..2,
+        ) {
+            let t = shuffled_table();
+            let v = |i: usize| DescId(i);
+            let (mut graph, mut peer) = (RelationGraph::new(&t), RelationGraph::new(&t));
+            let mut hub = CorpusHub::new(64);
+            if restored == 1 {
+                for (a, b) in [(0, 1), (2, 1), (3, 5), (4, 0), (6, 7), (7, 6)] {
+                    graph.learn(v(a), v(b));
+                }
+                let mut snapshot_graph = RelationGraph::new(&t);
+                snapshot_graph.import(&graph.export(&t), &t);
+                graph = snapshot_graph;
+                hub.set_relations(graph.clone());
+            }
+            let (fast_medium, slow_medium) = (SimMedium::new(), SimMedium::new());
+            let mut fast = FleetStore::create(fast_medium.clone(), 2).unwrap();
+            let mut slow = FleetStore::create(slow_medium.clone(), 2).unwrap();
+            let mut text = reference::TextMirror::default();
+            fast.on_start(&hub, &t);
+            slow.on_start(&hub, &t);
+            text.prime(&hub, &t);
+            let (faults, lint, net) =
+                (FaultCounters::default(), LintCounters::default(), NetCounters::default());
+            let mut round = 0;
+            for (op, a, b) in ops.into_iter().chain([(9, 0, 0)]) {
+                match op {
+                    0..=3 => graph.learn(v(a), v(b)),
+                    4 => peer.learn(v(a), v(b)),
+                    5 => graph.decay([0.01, 0.5, 0.9][a % 3]),
+                    6 => graph.merge_from(&peer),
+                    7 => graph.seed_prior(&[(v(a), v(b)), (v(b), v((a + 1) % NAMES.len()))]),
+                    _ => {
+                        round += 1;
+                        let clock_us = round as u64 * 1_000;
+                        hub.set_relations(graph.clone());
+                        fast.on_round(&hub, &t, round, clock_us, &faults, &lint, &net);
+                        let records = text.diff(&hub, &t);
+                        slow.journal_round(&hub, records, round, clock_us, [&faults, &lint, &net]);
+                    }
+                }
+            }
+            prop_assert_eq!(fast.counters(), slow.counters());
+            let names = fast_medium.list().unwrap();
+            prop_assert_eq!(&names, &slow_medium.list().unwrap());
+            for name in &names {
+                prop_assert_eq!(fast_medium.read(name).unwrap(), slow_medium.read(name).unwrap());
+            }
+        }
+    }
 
     fn hub_with_state() -> CorpusHub {
         let mut hub = CorpusHub::new(64);

@@ -77,7 +77,7 @@ impl Schedule {
 /// Runs `work` on every item, split into contiguous chunks of
 /// `chunk_len` with one scoped worker thread per chunk, and returns the
 /// results in item order whichever worker finishes first.
-fn on_workers<T: Send, R: Send>(
+pub(crate) fn on_workers<T: Send, R: Send>(
     items: &mut [T],
     chunk_len: usize,
     work: impl Fn(&mut T) -> R + Sync,
@@ -138,6 +138,18 @@ impl<'a> ShardRound<'a> {
     /// Runs `work` on every shard on the pool; results in shard order.
     pub fn each<R: Send>(&mut self, work: impl Fn(&mut Shard) -> R + Sync) -> Vec<R> {
         on_workers(&mut self.shards, self.chunk_len, work)
+    }
+
+    /// Runs `work` on every shard with its input (`inputs[i]` goes with
+    /// the `i`-th shard) on the pool; results in shard order.
+    pub fn each_with<A: Send, R: Send>(
+        &mut self,
+        inputs: &mut [A],
+        work: impl Fn(&mut Shard, &mut A) -> R + Sync,
+    ) -> Vec<R> {
+        assert_eq!(inputs.len(), self.shards.len(), "one input per shard");
+        let mut pairs: Vec<(&mut Shard, &mut A)> = self.shards.iter_mut().zip(inputs).collect();
+        on_workers(&mut pairs, self.chunk_len, |(shard, input)| work(shard, input))
     }
 
     /// Announces shards that start without a hub restore (unsynced

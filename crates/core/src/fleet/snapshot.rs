@@ -123,36 +123,49 @@ fn parse_component(tag: &str) -> Option<Component> {
     })
 }
 
-/// Escapes a field so it fits on one tab-separated line.
+/// Escapes a field so it fits on one tab-separated line: a backslash,
+/// newline and tab become `\\`, `\n` and `\t`; the runs between them
+/// are copied whole.
 pub(crate) fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
-    }
+    escape_into(&mut out, text);
     out
 }
 
+/// [`escape`], appending to `out`.
+pub(crate) fn escape_into(out: &mut String, text: &str) {
+    let mut run = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let escaped = match byte {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        out.push_str(&text[run..at]);
+        out.push_str(escaped);
+        run = at + 1;
+    }
+    out.push_str(&text[run..]);
+}
+
+/// Inverts [`escape`]. An unknown escape keeps the escaped character
+/// and drops the backslash; a trailing backslash stays.
 pub(crate) fn unescape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('\\') => out.push('\\'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
+    let mut rest = text;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let mut escaped = rest[at + 1..].chars();
+        out.push(match escaped.next() {
+            Some('n') => '\n',
+            Some('t') => '\t',
+            Some(other) => other,
+            None => '\\',
+        });
+        rest = escaped.as_str();
     }
+    out.push_str(rest);
     out
 }
 
@@ -380,6 +393,7 @@ pub(crate) fn parse_crash_line(line: &str) -> Option<CrashRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_snapshot() -> FleetSnapshot {
         FleetSnapshot {
@@ -551,6 +565,62 @@ mod tests {
         assert_eq!(unescape(&escape(nasty)), nasty);
         assert!(!escape(nasty).contains('\n'));
         assert!(!escape(nasty).contains('\t'));
+    }
+
+    /// The char-by-char escape codec the run-copying one replaced.
+    mod reference {
+        pub fn escape(text: &str) -> String {
+            let mut out = String::with_capacity(text.len());
+            for c in text.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    other => out.push(other),
+                }
+            }
+            out
+        }
+
+        pub fn unescape(text: &str) -> String {
+            let mut out = String::with_capacity(text.len());
+            let mut chars = text.chars();
+            while let Some(c) = chars.next() {
+                if c != '\\' {
+                    out.push(c);
+                    continue;
+                }
+                match chars.next() {
+                    Some('n') => out.push('\n'),
+                    Some('t') => out.push('\t'),
+                    Some('\\') => out.push('\\'),
+                    Some(other) => out.push(other),
+                    None => out.push('\\'),
+                }
+            }
+            out
+        }
+    }
+
+    /// Pieces the proptest strings are built from: escapes known and
+    /// unknown, a literal `\\n`, multi-byte UTF-8 and plain runs.
+    const PIECES: [&str; 12] =
+        ["a", "plain run", "\\", "\n", "\t", "n", "t", "\\r", "\\\\n", "é", "日本", "\u{1F600}"];
+
+    proptest! {
+        #[test]
+        fn escape_codec_matches_the_charwise_reference(
+            picks in prop::collection::vec(0usize..PIECES.len(), 0..40),
+            trailing_backslash in 0u8..2,
+        ) {
+            let mut text: String = picks.iter().map(|&i| PIECES[i]).collect();
+            if trailing_backslash == 1 {
+                text.push('\\');
+            }
+            prop_assert_eq!(escape(&text), reference::escape(&text));
+            prop_assert_eq!(unescape(&text), reference::unescape(&text));
+            prop_assert_eq!(unescape(&escape(&text)), text);
+        }
     }
 
     #[test]

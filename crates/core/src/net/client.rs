@@ -13,6 +13,13 @@
 //! merge `hub.relations()` every round, so the distributed campaign stays
 //! bit-identical.
 //!
+//! The link is serial, the shard work is not: each round's pushes are
+//! built on the worker pool (the relation graph's text export
+//! included), and the pull answers, which arrive over the link one
+//! after another in shard order, are applied on the pool once the last
+//! one is in. The start-of-campaign restores run the same way. This is
+//! the split the local fleet uses for its pulls and restores.
+//!
 //! The supervisor's backoff/quarantine taxonomy extends to the link:
 //! any send/recv failure retires the connection, and the worker
 //! re-dials with capped exponential backoff, reclaiming its shard
@@ -264,6 +271,21 @@ impl Link {
         Ok((corpus_text, cursor, delivered))
     }
 
+    /// One pull per shard at `barrier`, in shard order: the corpus
+    /// answers, ready to apply. Applying them after the last answer is
+    /// the same as applying each on arrival: the hub graph only changes
+    /// when a round is applied, and the hub cannot apply the next round
+    /// before these shards push it, so every answer at one barrier
+    /// carries the same graph.
+    fn pull_each(
+        &mut self,
+        barrier: usize,
+        shards: &[Shard],
+        table: &DescTable,
+    ) -> Result<Vec<(String, u64, u64)>, NetError> {
+        shards.iter().map(|shard| self.pull(barrier, shard, false, table)).collect()
+    }
+
     /// Fire-and-forget close; the campaign is already complete.
     fn bye(&mut self, reason: &str) {
         if let Some(ch) = self.channel.as_mut() {
@@ -342,10 +364,11 @@ impl WorkerRuntime {
         // the wire. On a fresh campaign the hub is empty and this is a
         // no-op import; on resume it delivers the snapshot corpus.
         if campaign.sync {
-            for (shard, restored) in pool.shards.iter_mut().zip(&mut restored) {
-                let (text, cursor, _) = link.pull(schedule.start_round, shard, false, &table)?;
-                *restored += shard.apply_restore(&text, cursor, link.hub_graph.as_ref());
-            }
+            let mut answers = link.pull_each(schedule.start_round, &pool.shards, &table)?;
+            let graph = link.hub_graph.as_ref();
+            restored = pool.each_with(&mut answers, |shard, (text, cursor, _)| {
+                shard.apply_restore(text, *cursor, graph)
+            });
         } else {
             pool.announce();
         }
@@ -357,28 +380,33 @@ impl WorkerRuntime {
             for (beats, shard) in heartbeats.iter_mut().zip(&pool.shards) {
                 *beats += u64::from(!shard.is_quarantined(round));
             }
-            let updates = pool.slice(round);
+            let mut updates = pool.slice(round);
 
-            // Push every shard's update; the hub applies them in global
-            // shard-id order once all fleet shards have reported.
-            for (update, shard) in updates.into_iter().zip(&pool.shards) {
-                let wire = WireUpdate {
-                    shard: update.shard,
-                    corpus_delta: update.corpus_delta,
-                    new_blocks: update.new_blocks.iter().map(|b| b.0).collect(),
-                    relations_text: update.relations.as_ref().map(|g| g.export(&table)),
-                    crashes: shard.engine().crash_db().records().into_iter().cloned().collect(),
-                };
+            // Push every shard's update, built on the pool; the hub
+            // applies them in global shard-id order once all fleet
+            // shards have reported.
+            let wires = pool.each_with(&mut updates, |shard, update| WireUpdate {
+                shard: update.shard,
+                corpus_delta: std::mem::take(&mut update.corpus_delta),
+                new_blocks: update.new_blocks.iter().map(|b| b.0).collect(),
+                relations_text: update.relations.as_ref().map(|g| g.export(&table)),
+                crashes: shard.engine().crash_db().records().into_iter().cloned().collect(),
+            });
+            for wire in wires {
                 link.push(round, wire)?;
             }
 
             // Pull the peers' seeds published this round (barrier
-            // `round + 1`: the hub answers once the round is applied).
+            // `round + 1`: the hub answers once the round is applied),
+            // then apply the answers on the pool.
             if campaign.sync {
-                for (shard, pulled) in pool.shards.iter_mut().zip(&mut pulled) {
-                    let (text, cursor, delivered) = link.pull(round + 1, shard, false, &table)?;
-                    let graph = link.hub_graph.as_ref();
-                    *pulled += shard.apply_pull(&text, cursor, delivered as usize, graph) as u64;
+                let mut answers = link.pull_each(round + 1, &pool.shards, &table)?;
+                let graph = link.hub_graph.as_ref();
+                let accepted = pool.each_with(&mut answers, |shard, (text, cursor, delivered)| {
+                    shard.apply_pull(text, *cursor, *delivered as usize, graph)
+                });
+                for (pulled, accepted) in pulled.iter_mut().zip(accepted) {
+                    *pulled += accepted as u64;
                 }
             }
 

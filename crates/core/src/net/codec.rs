@@ -25,11 +25,12 @@
 use super::{NetCounters, NetError};
 use crate::config::FuzzerConfig;
 use crate::crashes::CrashRecord;
-use crate::fleet::snapshot::{crash_fields, escape, parse_crash_line, unescape};
+use crate::fleet::snapshot::{crash_fields, escape, escape_into, parse_crash_line, unescape};
 use crate::frame::{self, FrameError};
 use crate::supervisor::FaultCounters;
 use droidfuzz_analysis::counters::{parse_tokens, CounterFamily};
 use droidfuzz_analysis::LintCounters;
+use std::fmt::Write;
 
 /// First line of a captured net stream (one direction of one
 /// connection) — what `droidfuzz-lint` keys its audit on.
@@ -296,8 +297,23 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u64, Vec<u8>, usize), NetError> {
 // Message layer
 // ---------------------------------------------------------------------
 
-fn opt_field(value: Option<&str>) -> String {
-    value.map_or_else(|| "-".to_owned(), escape)
+/// Appends the `key value` line of a large text field, escaped in place.
+fn text_line(out: &mut String, key: &str, value: &str) {
+    out.push_str(key);
+    out.push(' ');
+    escape_into(out, value);
+    out.push('\n');
+}
+
+/// [`text_line`] for an optional field; `-` when absent.
+fn opt_text_line(out: &mut String, key: &str, value: Option<&str>) {
+    match value {
+        Some(value) => text_line(out, key, value),
+        None => {
+            out.push_str(key);
+            out.push_str(" -\n");
+        }
+    }
 }
 
 fn parse_opt_field(value: &str) -> Option<String> {
@@ -385,16 +401,13 @@ pub fn encode_message(msg: &Message) -> String {
             out.push_str("msg push\n");
             out.push_str(&format!("round {round}\n"));
             out.push_str(&format!("shard {}\n", update.shard));
-            out.push_str(&format!("corpus {}\n", escape(&update.corpus_delta)));
+            text_line(&mut out, "corpus", &update.corpus_delta);
             out.push_str("blocks");
             for block in &update.new_blocks {
-                out.push_str(&format!(" {block:x}"));
+                write!(out, " {block:x}").expect("write to String");
             }
             out.push('\n');
-            out.push_str(&format!(
-                "relations {}\n",
-                opt_field(update.relations_text.as_deref())
-            ));
+            opt_text_line(&mut out, "relations", update.relations_text.as_deref());
             for crash in &update.crashes {
                 out.push_str(&format!("crash {}\n", crash_fields(crash)));
             }
@@ -418,8 +431,8 @@ pub fn encode_message(msg: &Message) -> String {
             out.push_str(&format!("shard {shard}\n"));
             out.push_str(&format!("cursor {cursor}\n"));
             out.push_str(&format!("delivered {delivered}\n"));
-            out.push_str(&format!("relations {}\n", opt_field(relations_text.as_deref())));
-            out.push_str(&format!("corpus {}\n", escape(corpus_text)));
+            opt_text_line(&mut out, "relations", relations_text.as_deref());
+            text_line(&mut out, "corpus", corpus_text);
         }
         Message::RoundDone { round, stats, net } => {
             out.push_str("msg round-done\n");

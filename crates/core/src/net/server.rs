@@ -8,10 +8,12 @@
 //! persist sink and checkpoint cadence a local [`Fleet`] runs — so a
 //! fixed-seed distributed campaign reproduces the local `--threads` path
 //! bit for bit (the snapshot differs only in its `net` counter lines).
-//! Pull requests carry a *barrier* (how many rounds the hub must have
-//! applied before answering); requests arriving early are parked and
-//! answered the moment the barrier round lands. A round is closed once
-//! every worker has sent its `RoundDone`.
+//! The round's shard graphs are rebuilt from their wire text on scoped
+//! threads, one per core and at most one per update, before that
+//! in-order apply. Pull requests carry a *barrier* (how many rounds the
+//! hub must have applied before answering); requests arriving early are
+//! parked and answered the moment the barrier round lands. A round is
+//! closed once every worker has sent its `RoundDone`.
 //!
 //! Reconnects are cheap because every mutating message is idempotent at
 //! the session layer: a replayed push for an applied round (or an
@@ -44,8 +46,8 @@ use super::{NetCounters, NetError};
 use crate::crashes::{CrashDb, CrashRecord};
 use crate::engine::FuzzingEngine;
 use crate::fleet::{
-    FleetConfig, FleetPersist, FleetSnapshot, FleetStats, HubRound, Schedule, ShardStats,
-    ShardUpdate, Totals,
+    on_workers, FleetConfig, FleetPersist, FleetSnapshot, FleetStats, HubRound, Schedule,
+    ShardStats, ShardUpdate, Totals,
 };
 use crate::relation::RelationGraph;
 use crate::store::StoreCounters;
@@ -559,20 +561,28 @@ impl HubCore<'_, '_> {
                     db
                 })
                 .collect();
-            // Shard-id order (BTreeMap iteration), as the local fleet
-            // applies its updates; each graph is rebuilt just before it
-            // is applied.
+            // The shards' graphs are rebuilt from text on scoped threads
+            // (`ServeConfig` has no thread count: one per core, at most
+            // one per update), then applied in shard-id order (BTreeMap
+            // iteration), as the local fleet applies its updates.
             let table = &self.table;
-            let updates = pushed.into_iter().map(|(shard, wire)| ShardUpdate {
-                shard,
-                corpus_delta: wire.corpus_delta,
-                new_blocks: wire.new_blocks.into_iter().map(Block).collect(),
-                relations: wire.relations_text.map(|text| {
+            let mut wires: Vec<(usize, WireUpdate)> = pushed.into_iter().collect();
+            let workers = thread::available_parallelism().map_or(1, usize::from).min(wires.len());
+            let chunk_len = wires.len().div_ceil(workers.max(1)).max(1);
+            let graphs = on_workers(&mut wires, chunk_len, |(_, wire)| {
+                wire.relations_text.as_deref().map(|text| {
                     let mut graph = RelationGraph::new(table);
-                    graph.import(&text, table);
+                    graph.import(text, table);
                     graph
-                }),
+                })
             });
+            let updates =
+                wires.into_iter().zip(graphs).map(|((shard, wire), relations)| ShardUpdate {
+                    shard,
+                    corpus_delta: wire.corpus_delta,
+                    new_blocks: wire.new_blocks.into_iter().map(Block).collect(),
+                    relations,
+                });
             self.seeds_published += self.sync.apply(round, updates, &dbs);
             self.applied_next = round + 1;
         }

@@ -198,13 +198,14 @@ impl RelationGraph {
             .unwrap_or_default()
     }
 
+    /// Every edge as `(from, to, weight)`, by ascending `(from, to)` id.
+    pub fn edges(&self) -> impl Iterator<Item = (DescId, DescId, f64)> + '_ {
+        self.out.iter().flat_map(|(&a, m)| m.iter().map(move |(&b, &w)| (DescId(a), DescId(b), w)))
+    }
+
     /// The `count` heaviest edges, descending, as `(from, to, weight)`.
     pub fn top_edges(&self, count: usize) -> Vec<(DescId, DescId, f64)> {
-        let mut edges: Vec<(DescId, DescId, f64)> = self
-            .out
-            .iter()
-            .flat_map(|(&a, m)| m.iter().map(move |(&b, &w)| (DescId(a), DescId(b), w)))
-            .collect();
+        let mut edges: Vec<(DescId, DescId, f64)> = self.edges().collect();
         edges.sort_by(|x, y| y.2.total_cmp(&x.2));
         edges.truncate(count);
         edges
@@ -228,15 +229,32 @@ impl RelationGraph {
     ///
     /// Weights print with Rust's shortest-roundtrip float formatting, so
     /// export → import → export is byte-identical.
+    ///
+    /// The text goes into one buffer sized up front from the names and a
+    /// typical weight width; weights are written in place.
     pub fn export(&self, table: &DescTable) -> String {
-        let mut out = format!("# relation-graph learns={}\n", self.learn_events);
+        use std::fmt::Write;
+        let name = |id: usize| table.get(DescId(id)).name.as_str();
+        let size: usize = self
+            .out
+            .iter()
+            .map(|(&a, targets)| {
+                let from = name(a).len() + "edge \t\t\n".len() + 24;
+                targets.keys().map(|&b| from + name(b).len()).sum::<usize>()
+            })
+            .sum();
+        let mut out = String::with_capacity(48 + size);
+        writeln!(out, "# relation-graph learns={}", self.learn_events).expect("write to String");
         for (&a, targets) in &self.out {
+            let from = name(a);
             for (&b, &w) in targets {
-                out.push_str(&format!(
-                    "edge {}\t{}\t{w}\n",
-                    table.get(DescId(a)).name,
-                    table.get(DescId(b)).name,
-                ));
+                out.push_str("edge ");
+                out.push_str(from);
+                out.push('\t');
+                out.push_str(name(b));
+                out.push('\t');
+                write!(out, "{w}").expect("write to String");
+                out.push('\n');
             }
         }
         out
@@ -866,6 +884,39 @@ mod tests {
         pub fn in_weight_sum(g: &RelationGraph, b: usize) -> f64 {
             g.out.values().filter_map(|m| m.get(&b)).sum()
         }
+
+        /// The export text, one `format!` per edge.
+        pub fn export(g: &RelationGraph, table: &DescTable) -> String {
+            let mut out = format!("# relation-graph learns={}\n", g.learn_events);
+            for (&a, targets) in &g.out {
+                for (&b, &w) in targets {
+                    out.push_str(&format!(
+                        "edge {}\t{}\t{w}\n",
+                        table.get(DescId(a)).name,
+                        table.get(DescId(b)).name,
+                    ));
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn campaign_hub_graph_exports_like_the_reference() {
+        use crate::config::FuzzerConfig;
+        use crate::fleet::{Fleet, FleetConfig, FleetSnapshot};
+        let spec = simdevice::catalog::device_a1();
+        let cfg =
+            FleetConfig { shards: 2, hours: 0.2, sync_interval_hours: 0.05, ..Default::default() };
+        let result = Fleet::new(cfg).run(&spec, FuzzerConfig::droidfuzz);
+        let snapshot = FleetSnapshot::parse(&result.snapshot).expect("own snapshot parses");
+        let engine = crate::engine::FuzzingEngine::new(spec.boot(), FuzzerConfig::droidfuzz(1));
+        let t = engine.desc_table();
+        let mut hub = RelationGraph::new(t);
+        hub.import(&snapshot.relations_text, t);
+        assert!(hub.edge_count() > 10, "the campaign learned edges");
+        assert_eq!(hub.export(t), reference::export(&hub, t));
+        assert_eq!(hub.export(t), snapshot.relations_text);
     }
 
     /// A graph evolved through the indexed methods next to one evolved
@@ -943,7 +994,7 @@ mod tests {
             prop_assert_eq!(bits(&self.fast), bits(&self.slow));
             prop_assert_eq!(self.fast.edge_count, self.slow.edge_count);
             prop_assert_eq!(self.fast.learn_events, self.slow.learn_events);
-            prop_assert_eq!(self.fast.export(t), self.slow.export(t));
+            prop_assert_eq!(self.fast.export(t), reference::export(&self.slow, t));
             // The incrementally maintained index equals one rebuilt from
             // `out`, and no empty rows exist.
             prop_assert_eq!(&self.fast.sources, &self.slow.sources);

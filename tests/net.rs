@@ -2,16 +2,20 @@
 //! tentpole bit-identity guarantee (a fixed-seed distributed campaign
 //! over loopback equals the local `--threads` run), reliable-link
 //! reproducibility including net counters, hostile-link reconnects with
-//! zero lost corpus/crash state, and distributed kill/resume.
+//! zero lost corpus/crash state, distributed kill/resume, and a durable
+//! hub whose store does not depend on the workers' pool size.
 
 use droidfuzz_repro::droidfuzz::config::FuzzerConfig;
 use droidfuzz_repro::droidfuzz::crashes::CrashRecord;
-use droidfuzz_repro::droidfuzz::fleet::{Fleet, FleetConfig, FleetSnapshot, SNAPSHOT_HEADER};
+use droidfuzz_repro::droidfuzz::fleet::{
+    Fleet, FleetConfig, FleetSnapshot, FleetStore, DEFAULT_KEEP, SNAPSHOT_HEADER,
+};
 use droidfuzz_repro::droidfuzz::net::{
     decode_frame, decode_message, encode_frame, encode_message, CampaignSpec, HubResult,
     HubServer, LoopbackConnector, Message, NetCounters, NetError, ServeConfig, WireShardStats,
     WireUpdate, WorkerConfig, WorkerResult, WorkerRuntime,
 };
+use droidfuzz_repro::droidfuzz::store::{SimMedium, StorageMedium};
 use droidfuzz_repro::simdevice::catalog;
 use droidfuzz_repro::simdevice::faults::{FaultProfile, LinkFaultRates};
 use droidfuzz_repro::simkernel::report::{BugKind, Component};
@@ -432,4 +436,68 @@ fn hub_matches_local_fleet_across_campaign_shapes() {
         assert_eq!(hub.stats.seeds_published, local.stats.seeds_published, "{label}: published");
         assert_eq!(hub.stats.seeds_pulled, local.stats.seeds_pulled, "{label}: pulled");
     }
+}
+
+// ---------------------------------------------------------------------
+// Durable hub
+// ---------------------------------------------------------------------
+
+/// Runs a durable hub on a fresh `SimMedium` with a 3+1 worker split,
+/// every worker on `threads` pool threads; returns the hub result and
+/// every medium file.
+fn run_durable_split(threads: usize) -> (HubResult, Vec<(String, Vec<u8>)>) {
+    let medium = SimMedium::new();
+    let mut store = FleetStore::create(medium.clone(), DEFAULT_KEEP).expect("fresh medium");
+    let (connector, listener) = LoopbackConnector::with_rates(reliable(), 13);
+    let conns: Vec<_> =
+        (0..2u64).map(|i| connector.sibling_with_rates(reliable(), 13 + 1000 * (i + 1))).collect();
+    drop(connector);
+    let fleet = FleetConfig { hours: 0.25, checkpoint_interval_rounds: 2, ..quick_fleet(4, None) };
+    let server = HubServer::new(serve_config(fleet));
+    let hub = thread::scope(|scope| {
+        let hub = scope.spawn(|| server.serve(listener, Some(&mut store), None));
+        let workers: Vec<_> = [3, 1]
+            .into_iter()
+            .zip(conns)
+            .enumerate()
+            .map(|(i, (shards, conn))| {
+                let cfg =
+                    WorkerConfig { shards, threads, name: format!("w{i}"), max_link_retries: 50 };
+                scope.spawn(move || WorkerRuntime::new(cfg).run(Box::new(conn)))
+            })
+            .collect();
+        for worker in workers {
+            assert!(worker.join().expect("worker thread").expect("worker completes").finished);
+        }
+        hub.join().expect("hub thread").expect("hub completes")
+    });
+    let files = medium
+        .list()
+        .expect("sim medium lists")
+        .into_iter()
+        .map(|name| {
+            let bytes = medium.read(&name).expect("listed file reads");
+            (name, bytes)
+        })
+        .collect();
+    (hub, files)
+}
+
+/// The workers' pool size is invisible on the wire and on disk: a
+/// durable hub with a 3+1 split leaves byte-identical medium files and
+/// an identical snapshot, net lines included, whether each worker runs
+/// its shards on one thread or one thread per shard.
+#[test]
+fn durable_hub_store_is_worker_pool_size_invariant() {
+    let (sequential, sequential_files) = run_durable_split(1);
+    let (pooled, pooled_files) = run_durable_split(0);
+    assert!(sequential.finished && pooled.finished);
+    assert!(sequential.store_totals.journal_records > 0, "rounds were journaled");
+    assert!(
+        sequential_files.iter().any(|(name, _)| name.starts_with("snapshot-")),
+        "checkpoints were written: {:?}",
+        sequential_files.iter().map(|(name, _)| name).collect::<Vec<_>>()
+    );
+    assert_eq!(sequential.snapshot, pooled.snapshot, "full snapshot incl. net section");
+    assert_eq!(sequential_files, pooled_files, "every medium file byte for byte");
 }
