@@ -37,8 +37,10 @@
 //! most: `merge_from` (`merge_us`), `learn` (`learn_us`) and
 //! `relational_generate` (`generate_us`), plus one text `export`
 //! (`export_us`) and one `import` (`import_us`) of the whole graph, the
-//! form the graph crosses the wire in; each the best of eleven timed
-//! repetitions, next to the graph's `edges`. The same campaign's hub
+//! form snapshots keep it in, and the same graph as the wire carries it:
+//! written into a pull answer's `relations` triples (`wire_export_us`)
+//! and decoded and rebuilt from them (`wire_import_us`); each the best of
+//! eleven timed repetitions, next to the graph's `edges`. The same campaign's hub
 //! corpus, restored into an engine corpus of `seeds` seeds, times the
 //! program text every sync round moves seeds through: writing the corpus
 //! text (`format_us`) and parsing each seed's program (`parse_us`), in µs
@@ -51,6 +53,7 @@ use droidfuzz::exec::Broker;
 use droidfuzz_bench::reference::ReferenceBroker;
 use droidfuzz::fleet::{Fleet, FleetConfig, FleetResult, FleetSnapshot};
 use droidfuzz::generate::{random_generate, relational_generate};
+use droidfuzz::net::{decode_message, encode_message, Message};
 use droidfuzz::relation::RelationGraph;
 use droidfuzz::FuzzingEngine;
 use droidfuzz::report::ascii_chart;
@@ -197,6 +200,35 @@ fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
         }),
     );
 
+    let answer = |relations| Message::PullResponse {
+        barrier: 1,
+        shard: 0,
+        corpus_text: String::new(),
+        cursor: 0,
+        delivered: 0,
+        relations,
+    };
+    let wire_export_us = best_us_per_call(TEXTS, || (), |()| {
+        for _ in 0..TEXTS {
+            std::hint::black_box(encode_message(&answer(Some(hub.to_wire()))));
+        }
+    });
+    let payload = encode_message(&answer(Some(hub.to_wire())));
+    let wire_import_us = best_us_per_call(
+        TEXTS,
+        || vec![RelationGraph::new(table); TEXTS],
+        |graphs| {
+            for graph in graphs {
+                let Ok(Message::PullResponse { relations: Some(wire), .. }) =
+                    decode_message(&payload)
+                else {
+                    panic!("own pull answer decodes with its graph");
+                };
+                graph.import_wire(&wire, table);
+            }
+        },
+    );
+
     let mut corpus = Corpus::new();
     corpus.import(&snapshot.corpus_text, table);
     let seeds = corpus.len().max(1);
@@ -214,12 +246,14 @@ fn sync_hot_paths(spec: &FirmwareSpec, device: &str) {
         "\nsync hot paths ({edges}-edge hub graph, {seeds}-seed hub corpus): merge {merge_us:.1} us, \
          learn {learn_us:.3} us, relational_generate {generate_us:.2} us, \
          export {export_us:.1} us, import {import_us:.1} us, \
+         wire export {wire_export_us:.1} us, wire import {wire_import_us:.1} us, \
          format {format_us:.2} us/seed, parse {parse_us:.2} us/seed"
     );
     println!(
         "{{\"bench\":\"sync_hot_paths\",\"device\":\"{device}\",\"edges\":{edges},\
          \"merge_us\":{merge_us:.2},\"learn_us\":{learn_us:.4},\"generate_us\":{generate_us:.3},\
          \"export_us\":{export_us:.2},\"import_us\":{import_us:.2},\
+         \"wire_export_us\":{wire_export_us:.2},\"wire_import_us\":{wire_import_us:.2},\
          \"seeds\":{seeds},\"format_us\":{format_us:.3},\"parse_us\":{parse_us:.3}}}"
     );
 }

@@ -54,8 +54,7 @@ fn main() {
                 shard: i as usize % shards,
                 corpus_delta: format!("# seed {}", chunks[i as usize % chunks.len().max(1)]),
                 new_blocks: (0..16).map(|b| i * 131 + b).collect(),
-                relations_text: (i % 4 == 0)
-                    .then(|| engine.relation_graph().export(engine.desc_table())),
+                relations: (i % 4 == 0).then(|| engine.relation_graph().to_wire()),
                 crashes: crashes.clone(),
             },
         })

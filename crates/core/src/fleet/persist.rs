@@ -17,6 +17,13 @@
 //! without writing or parsing that text, and formats names and weights
 //! only for the records it appends.
 //!
+//! A round reaches the medium as one group commit: its records are
+//! encoded as before and written with one journal append and one sync at
+//! the round marker, so the WAL holds the bytes a per-record writer
+//! would leave while the medium sees one sync per round instead of one
+//! per record. Records are counted once appended; a batch the medium
+//! refuses is dropped whole, so recovery replays whole rounds only.
+//!
 //! Durability is *best-effort by design*: every storage failure is
 //! counted into [`StoreCounters::io_errors`] and the campaign keeps
 //! fuzzing — a full disk degrades persistence, it never kills the fleet.
@@ -171,18 +178,21 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
         self.gen
     }
 
-    fn append(&mut self, delta: &FleetDelta) {
-        let payload = delta.encode();
-        match self.journal.append(&payload) {
+    /// Writes one round's records to the journal as a single batch (one
+    /// append, one sync) and counts them only once they are appended: a
+    /// failed batch is one io error, and a batch the medium has no space
+    /// for is dropped whole, so recovery never sees half a round.
+    fn commit(&mut self, batch: &[String]) {
+        match self.journal.append_batch(batch.iter().map(String::as_str)) {
             Ok(_) => {
-                self.counters.journal_records += 1;
-                self.counters.journal_bytes += payload.len() as u64;
+                self.counters.journal_records += batch.len() as u64;
+                self.counters.journal_bytes += batch.iter().map(|p| p.len() as u64).sum::<u64>();
             }
             Err(_) => self.counters.io_errors += 1,
         }
     }
 
-    /// Appends one round's records: the hub's fresh seeds, the relation
+    /// Encodes one round's records: the hub's fresh seeds, the relation
     /// records already diffed, fresh coverage blocks, changed crashes,
     /// new series samples, changed counter families (faults, lint, net),
     /// the store totals and the round marker.
@@ -193,17 +203,15 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
         round: usize,
         clock_us: u64,
         totals: [&dyn CounterFamily; 3],
-    ) {
-        let fresh_seeds: Vec<(usize, String)> = hub
-            .seeds_since(self.seed_cursor)
-            .map(|s| (s.signals, s.body.clone()))
-            .collect();
-        self.seed_cursor = hub.tip();
-        for (signals, body) in fresh_seeds {
-            self.append(&FleetDelta::Seed { signals, body });
+    ) -> Vec<String> {
+        let mut batch = Vec::new();
+        let mut stage = |delta: &FleetDelta| batch.push(delta.encode());
+        for seed in hub.seeds_since(self.seed_cursor) {
+            stage(&FleetDelta::Seed { signals: seed.signals, body: seed.body.clone() });
         }
+        self.seed_cursor = hub.tip();
         for delta in &relations {
-            self.append(delta);
+            stage(delta);
         }
 
         let fresh_blocks: Vec<u64> = hub
@@ -214,42 +222,41 @@ impl<M: StorageMedium + Clone> FleetStore<M> {
             .collect();
         if !fresh_blocks.is_empty() {
             self.blocks.extend(fresh_blocks.iter().copied());
-            self.append(&FleetDelta::Blocks(fresh_blocks));
+            stage(&FleetDelta::Blocks(fresh_blocks));
         }
 
-        let changed_crashes: Vec<crate::crashes::CrashRecord> = hub
-            .crashes()
-            .records()
-            .into_iter()
-            .filter(|r| self.crashes.get(&dedup_key(&r.title)) != Some(&crash_fields(r)))
-            .cloned()
-            .collect();
-        for record in changed_crashes {
-            self.crashes.insert(dedup_key(&record.title), crash_fields(&record));
-            self.append(&FleetDelta::Crash(record));
+        for record in hub.crashes().records() {
+            let fields = crash_fields(record);
+            if self.crashes.get(&dedup_key(&record.title)) != Some(&fields) {
+                self.crashes.insert(dedup_key(&record.title), fields);
+                stage(&FleetDelta::Crash(record.clone()));
+            }
         }
 
-        let samples: Vec<(u64, f64)> =
-            hub.series().points().iter().skip(self.series_len).copied().collect();
+        for &(t, v) in hub.series().points().iter().skip(self.series_len) {
+            stage(&FleetDelta::Sample { t, v });
+        }
         self.series_len = hub.series().points().len();
-        for (t, v) in samples {
-            self.append(&FleetDelta::Sample { t, v });
-        }
 
         for family in totals {
             let record = CounterRecord::of(family);
             if self.journaled_counters.get(family.table().section) != Some(&record) {
                 self.journaled_counters.insert(family.table().section, record.clone());
-                self.append(&FleetDelta::Counters(record));
+                stage(&FleetDelta::Counters(record));
             }
         }
         // Durability counters, campaign-cumulative like the snapshot's
-        // store section (they trail by the bytes of this very record,
-        // which is fine: the next checkpoint squares them up).
+        // store section, counting the records staged ahead of this one as
+        // appended (they trail by the bytes of this very record and the
+        // round marker, which is fine: the next checkpoint squares them
+        // up).
         let mut store_totals = self.baseline;
         store_totals.absorb(&self.counters);
-        self.append(&FleetDelta::Counters(CounterRecord::of(&store_totals)));
-        self.append(&FleetDelta::Round { round, clock_us });
+        store_totals.journal_records += batch.len() as u64;
+        store_totals.journal_bytes += batch.iter().map(|p| p.len() as u64).sum::<u64>();
+        batch.push(FleetDelta::Counters(CounterRecord::of(&store_totals)).encode());
+        batch.push(FleetDelta::Round { round, clock_us }.encode());
+        batch
     }
 
     /// Prunes the snapshot ring and drops the journals of pruned
@@ -399,7 +406,8 @@ impl<M: StorageMedium + Clone> FleetPersist for FleetStore<M> {
     ) {
         let relations = self.relations.diff(hub.relations(), table);
         let totals = [fault_totals as &dyn CounterFamily, lint_totals, net_totals];
-        self.journal_round(hub, relations, round, clock_us, totals);
+        let batch = self.journal_round(hub, relations, round, clock_us, totals);
+        self.commit(&batch);
     }
 
     fn on_checkpoint(&mut self, snapshot: &FleetSnapshot) {
@@ -476,6 +484,186 @@ mod tests {
         }
     }
 
+    /// The journal writer group commit replaced: every record of a round
+    /// is its own append and sync, and is counted as it lands.
+    struct PerRecordStore(FleetStore<SimMedium>);
+
+    impl FleetPersist for PerRecordStore {
+        fn on_start(&mut self, hub: &CorpusHub, table: &DescTable) {
+            self.0.on_start(hub, table);
+        }
+
+        fn on_round(
+            &mut self,
+            hub: &CorpusHub,
+            table: &DescTable,
+            round: usize,
+            clock_us: u64,
+            fault_totals: &FaultCounters,
+            lint_totals: &LintCounters,
+            net_totals: &NetCounters,
+        ) {
+            let store = &mut self.0;
+            let relations = store.relations.diff(hub.relations(), table);
+            let totals = [fault_totals as &dyn CounterFamily, lint_totals, net_totals];
+            for payload in store.journal_round(hub, relations, round, clock_us, totals) {
+                match store.journal.append(&payload) {
+                    Ok(_) => {
+                        store.counters.journal_records += 1;
+                        store.counters.journal_bytes += payload.len() as u64;
+                    }
+                    Err(_) => store.counters.io_errors += 1,
+                }
+            }
+        }
+
+        fn on_checkpoint(&mut self, snapshot: &FleetSnapshot) {
+            self.0.on_checkpoint(snapshot);
+        }
+
+        fn counters(&self) -> StoreCounters {
+            self.0.counters()
+        }
+    }
+
+    /// A fixed-seed durable campaign, killed after round 4 with
+    /// checkpoints every third round, on its own medium.
+    fn durable_campaign(persist: &mut dyn FleetPersist) -> crate::fleet::FleetResult {
+        let cfg = crate::fleet::FleetConfig {
+            shards: 2,
+            hours: 0.3,
+            sync_interval_hours: 0.05,
+            kill_after_rounds: Some(4),
+            checkpoint_interval_rounds: 3,
+            threads: 1,
+            ..Default::default()
+        };
+        let spec = simdevice::catalog::device_e();
+        crate::fleet::Fleet::new(cfg).launch(
+            &spec,
+            &crate::config::FuzzerConfig::droidfuzz,
+            None,
+            Some(persist),
+        )
+    }
+
+    #[test]
+    fn group_commit_writes_what_the_per_record_writer_wrote() {
+        let (group_medium, record_medium) = (SimMedium::new(), SimMedium::new());
+        let mut group = FleetStore::create(group_medium.clone(), DEFAULT_KEEP).unwrap();
+        let mut per_record =
+            PerRecordStore(FleetStore::create(record_medium.clone(), DEFAULT_KEEP).unwrap());
+        let grouped = durable_campaign(&mut group);
+        let recorded = durable_campaign(&mut per_record);
+        assert_eq!(grouped.snapshot, recorded.snapshot);
+        assert_eq!(group.counters(), per_record.counters());
+        assert!(group.counters().journal_records > 40, "{:?}", group.counters());
+        let names = group_medium.list().unwrap();
+        assert_eq!(names, record_medium.list().unwrap());
+        assert!(names.iter().any(|n| parse_journal_name(n).is_some()));
+        for name in &names {
+            assert_eq!(group_medium.read(name).unwrap(), record_medium.read(name).unwrap(), "{name}");
+        }
+        // The same records, in fewer medium operations.
+        assert!(group_medium.ops() < record_medium.ops());
+    }
+
+    /// A [`SimMedium`] that counts appends and syncs.
+    #[derive(Debug, Clone, Default)]
+    struct CountingMedium {
+        inner: SimMedium,
+        appends: std::sync::Arc<std::sync::atomic::AtomicU64>,
+        syncs: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountingMedium {
+        fn counts(&self) -> (u64, u64) {
+            use std::sync::atomic::Ordering::SeqCst;
+            (self.appends.load(SeqCst), self.syncs.load(SeqCst))
+        }
+    }
+
+    impl StorageMedium for CountingMedium {
+        fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+            self.inner.read(name)
+        }
+        fn write(&mut self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+            self.inner.write(name, data)
+        }
+        fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+            self.appends.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.append(name, data)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
+            self.syncs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.sync(name)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StoreError> {
+            self.inner.list()
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+    }
+
+    #[test]
+    fn a_round_reaches_the_medium_as_one_append_and_one_sync() {
+        let medium = CountingMedium::default();
+        let mut store = FleetStore::create(medium.clone(), 2).unwrap();
+        let t = table();
+        let mut hub = CorpusHub::new(64);
+        store.on_start(&hub, &t);
+        let (faults, lint, net) =
+            (FaultCounters::default(), LintCounters::default(), NetCounters::default());
+        for round in 1..=3u64 {
+            hub.publish_coverage([simkernel::coverage::Block(round)]);
+            hub.record_sample(round * 1_000);
+            let before = medium.counts();
+            let records = store.counters().journal_records;
+            store.on_round(&hub, &t, round as usize, round * 1_000, &faults, &lint, &net);
+            let after = medium.counts();
+            assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "round {round}");
+            assert!(store.counters().journal_records >= records + 4, "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_round_that_does_not_fit_is_dropped_whole() {
+        let medium = SimMedium::new();
+        let mut store = FleetStore::create(medium.clone(), 2).unwrap();
+        let t = table();
+        let mut hub = CorpusHub::new(64);
+        store.on_start(&hub, &t);
+        let (faults, lint, net) =
+            (FaultCounters::default(), LintCounters::default(), NetCounters::default());
+        hub.publish_coverage([simkernel::coverage::Block(0x42)]);
+        store.on_round(&hub, &t, 1, 1_000, &faults, &lint, &net);
+        let durable = store.counters();
+        // Room for a record or two of the next round, not the whole round.
+        medium.push_fault(MediumFault::NoSpace { after_bytes: medium.total_units() + 60 });
+        hub.publish_corpus(0, "# seed 0 signals=5\nr0 = openat$/dev/video0()\n\n");
+        hub.publish_coverage([simkernel::coverage::Block(0x43)]);
+        hub.record_sample(2_000);
+        store.on_round(&hub, &t, 2, 2_000, &faults, &lint, &net);
+        let counters = store.counters();
+        assert_eq!(counters.io_errors, 1, "one failed batch, one io error");
+        assert_eq!(
+            (counters.journal_records, counters.journal_bytes),
+            (durable.journal_records, durable.journal_bytes),
+            "nothing of the failed round counts as appended"
+        );
+        let recovered = RecoveryManager::new(medium).recover().unwrap();
+        assert_eq!(recovered.snapshot.round, 1, "recovery sees round 1 whole, nothing of round 2");
+        assert_eq!(recovered.snapshot.coverage, vec![0x42]);
+        assert!(recovered.snapshot.corpus_text.is_empty());
+    }
+
     /// Calls whose name order is not their id order; one name holds a
     /// tab, so its edges cannot be journaled by either diff.
     const NAMES: [&str; 8] = ["m", "c", "x$1", "a", "tab\tname", "q", "b", "zz"];
@@ -535,7 +723,9 @@ mod tests {
                         hub.set_relations(graph.clone());
                         fast.on_round(&hub, &t, round, clock_us, &faults, &lint, &net);
                         let records = text.diff(&hub, &t);
-                        slow.journal_round(&hub, records, round, clock_us, [&faults, &lint, &net]);
+                        let batch =
+                            slow.journal_round(&hub, records, round, clock_us, [&faults, &lint, &net]);
+                        slow.commit(&batch);
                     }
                 }
             }

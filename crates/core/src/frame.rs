@@ -56,10 +56,17 @@ pub struct Frame<'a> {
 
 /// Frames `payload` as record `seq`.
 pub fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut frame = format!("rec {seq} {} {:08x}\n", payload.len(), crc32(payload)).into_bytes();
-    frame.extend_from_slice(payload);
-    frame.push(b'\n');
+    let mut frame = Vec::with_capacity(payload.len() + 32);
+    encode_into(&mut frame, seq, payload);
     frame
+}
+
+/// Appends the frame of `payload` as record `seq` to `out`.
+pub fn encode_into(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+    use std::io::Write;
+    writeln!(out, "rec {seq} {} {:08x}", payload.len(), crc32(payload)).expect("write to Vec");
+    out.extend_from_slice(payload);
+    out.push(b'\n');
 }
 
 /// Parses a header line (without its newline) into `(seq, len, crc)`.

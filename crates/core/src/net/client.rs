@@ -8,23 +8,29 @@
 //! `PushUpdate`, `pull` → `PullRequest` + [`Shard::apply_pull`], and a
 //! restarted shard's `restore_all_from_hub` → a `full` pull +
 //! [`Shard::apply_restore`]. Relation graphs arrive revision-gated (the
-//! hub resends its export only when the graph actually changed) and are
-//! cached; the cache is merged on *every* pull, exactly as local shards
-//! merge `hub.relations()` every round, so the distributed campaign stays
+//! hub resends its graph only when it actually changed) and are cached;
+//! the cache is merged on *every* pull, exactly as local shards merge
+//! `hub.relations()` every round, so the distributed campaign stays
 //! bit-identical.
 //!
-//! The link is serial, the shard work is not: each round's pushes are
-//! built on the worker pool (the relation graph's text export
-//! included), and the pull answers, which arrive over the link one
-//! after another in shard order, are applied on the pool once the last
-//! one is in. The start-of-campaign restores run the same way. This is
-//! the split the local fleet uses for its pulls and restores.
+//! The link is pipelined: each round is one *request window*. The worker
+//! sends every shard's `PushUpdate` and then every shard's `PullRequest`
+//! (barrier `round + 1`) back to back, and only then collects the
+//! answers, matching each `PushAck` by `(round, shard)` and each
+//! `PullResponse` by `(barrier, shard)`. The hub parks the pulls until
+//! the round is applied, so one window costs one round trip instead of
+//! one per message. The start-of-campaign restore pulls are one window
+//! too. `RoundDone` stays its own request, sent once the pull answers are
+//! applied and heal has run. The shard work around the link runs on the
+//! worker pool: pushes are built there (the relation graph's wire form
+//! included) and the pull answers are applied there once the last one is
+//! in — the split the local fleet uses for its pulls and restores.
 //!
 //! The supervisor's backoff/quarantine taxonomy extends to the link:
 //! any send/recv failure retires the connection, and the worker
 //! re-dials with capped exponential backoff, reclaiming its shard
-//! range with `Hello { claim }`. Every protocol step is then replayed
-//! from its first unacknowledged message — safe because the hub
+//! range with `Hello { claim }`. It then resends, in order, every
+//! message of the window that has no answer yet — safe because the hub
 //! deduplicates pushes and round reports, and pulls are pure reads.
 //!
 //! [`Fleet`]: crate::fleet::Fleet
@@ -38,7 +44,9 @@ use fuzzlang::desc::DescTable;
 use simdevice::catalog;
 use simdevice::FirmwareSpec;
 
-use super::codec::{CampaignSpec, Message, WireShardStats, WireUpdate, PROTOCOL_VERSION};
+use super::codec::{
+    table_digest, CampaignSpec, Message, WireShardStats, WireUpdate, PROTOCOL_VERSION,
+};
 use super::transport::{Channel, Connector};
 use super::{NetCounters, NetError};
 use crate::fleet::{FleetStats, Schedule, Shard, ShardRound};
@@ -101,7 +109,7 @@ struct Link {
     base_shard: Option<usize>,
     max_link_retries: u32,
     /// The hub relation graph, rebuilt whenever the hub resends its
-    /// (revision-gated) export and merged on every pull — the same graph
+    /// (revision-gated) graph and merged on every pull — the same graph
     /// value local shards see in `hub.relations()`.
     hub_graph: Option<RelationGraph>,
 }
@@ -191,35 +199,46 @@ impl Link {
         )))
     }
 
-    /// Sends `msg` and awaits the answer `expect` recognizes,
-    /// transparently reconnecting and replaying on any link failure
-    /// (the hub deduplicates pushes and round reports; pulls are pure
-    /// reads). Residual messages from a reconnect replay — e.g. a
-    /// second `RoundAck` when the round-done raced the fleet-wide
-    /// barrier broadcast — are counted as duplicates and skipped.
-    fn request_where(
-        &mut self,
-        msg: &Message,
-        expect: impl Fn(&Message) -> bool,
-    ) -> Result<Message, NetError> {
-        'attempt: loop {
+    /// Sends a request window and returns one answer per request, in
+    /// request order. The requests go out back to back before any answer
+    /// is read; answers are matched to requests whatever order they come
+    /// in. On any link failure the worker reconnects and resends, in
+    /// order, every request still unanswered (the hub deduplicates pushes
+    /// and round reports; pulls are pure reads). Residual messages from a
+    /// reconnect replay — e.g. a second `RoundAck` when the round-done
+    /// raced the fleet-wide barrier broadcast — are counted as duplicates
+    /// and skipped.
+    fn exchange(&mut self, requests: &[Message]) -> Result<Vec<Message>, NetError> {
+        let mut answers: Vec<Option<Message>> = requests.iter().map(|_| None).collect();
+        let mut open = requests.len();
+        'attempt: while open > 0 {
             if self.channel.is_none() {
                 self.reconnect()?;
             }
             let ch = self.channel.as_mut().expect("just reconnected");
-            if ch.send(msg).is_err() {
+            let unanswered = requests.iter().zip(&answers).filter(|(_, a)| a.is_none());
+            if unanswered.map(|(request, _)| ch.send(request)).any(|sent| sent.is_err()) {
                 self.retire_channel();
                 continue 'attempt;
             }
-            loop {
+            while open > 0 {
                 match self.channel.as_mut().expect("live channel").recv() {
-                    Ok(response) if expect(&response) => return Ok(response),
                     Ok(Message::Bye { reason }) => {
                         self.retire_channel();
                         return Err(NetError::Protocol(format!("hub closed session: {reason}")));
                     }
-                    Ok(_replay_residue) => {
-                        self.retired.dup_frames += 1;
+                    Ok(answer) => {
+                        let slot = requests
+                            .iter()
+                            .zip(&answers)
+                            .position(|(request, a)| a.is_none() && answers_to(request, &answer));
+                        match slot {
+                            Some(i) => {
+                                answers[i] = Some(answer);
+                                open -= 1;
+                            }
+                            None => self.retired.dup_frames += 1,
+                        }
                     }
                     Err(_) => {
                         self.retire_channel();
@@ -228,62 +247,36 @@ impl Link {
                 }
             }
         }
+        Ok(answers.into_iter().map(|a| a.expect("every request answered")).collect())
     }
 
-    /// One push step: replayed through reconnects until acknowledged.
-    fn push(&mut self, round: usize, wire: WireUpdate) -> Result<(), NetError> {
-        let shard = wire.shard;
-        let msg = Message::PushUpdate { round, update: wire };
-        self.request_where(&msg, |m| {
-            matches!(m, Message::PushAck { round: r, shard: s, .. } if *r == round && *s == shard)
-        })?;
-        Ok(())
-    }
-
-    /// One pull step for `shard` (from its cursor, or the whole hub
-    /// corpus when `full`): updates the cached hub relation graph when
-    /// the hub sent a fresh export, then hands back the corpus answer.
-    fn pull(
+    /// The corpus part of each pull answer, ready to apply; a fresh hub
+    /// graph in any of them replaces the cached one. Applying them after
+    /// the last answer is the same as applying each on arrival: the hub
+    /// graph only changes when a round is applied, and the hub cannot
+    /// apply the next round before these shards push it, so every answer
+    /// at one barrier carries the same graph.
+    fn pull_answers(
         &mut self,
-        barrier: usize,
-        shard: &Shard,
-        full: bool,
+        answers: impl IntoIterator<Item = Message>,
         table: &DescTable,
-    ) -> Result<(String, u64, u64), NetError> {
-        let (shard, cursor) = (shard.id, if full { 0 } else { shard.cursor() });
-        let msg = Message::PullRequest { barrier, shard, cursor, full };
-        let response = self.request_where(&msg, |m| {
-            matches!(
-                m,
-                Message::PullResponse { barrier: b, shard: s, .. } if *b == barrier && *s == shard
-            )
-        })?;
-        let Message::PullResponse { corpus_text, cursor, delivered, relations_text, .. } =
-            response
-        else {
-            unreachable!()
-        };
-        if let Some(text) = relations_text {
-            let mut graph = RelationGraph::new(table);
-            graph.import(&text, table);
-            self.hub_graph = Some(graph);
-        }
-        Ok((corpus_text, cursor, delivered))
-    }
-
-    /// One pull per shard at `barrier`, in shard order: the corpus
-    /// answers, ready to apply. Applying them after the last answer is
-    /// the same as applying each on arrival: the hub graph only changes
-    /// when a round is applied, and the hub cannot apply the next round
-    /// before these shards push it, so every answer at one barrier
-    /// carries the same graph.
-    fn pull_each(
-        &mut self,
-        barrier: usize,
-        shards: &[Shard],
-        table: &DescTable,
-    ) -> Result<Vec<(String, u64, u64)>, NetError> {
-        shards.iter().map(|shard| self.pull(barrier, shard, false, table)).collect()
+    ) -> Vec<(String, u64, u64)> {
+        answers
+            .into_iter()
+            .map(|answer| {
+                let Message::PullResponse { corpus_text, cursor, delivered, relations, .. } =
+                    answer
+                else {
+                    unreachable!("matched as a pull answer")
+                };
+                if let Some(wire) = relations {
+                    let mut graph = RelationGraph::new(table);
+                    graph.import_wire(&wire, table);
+                    self.hub_graph = Some(graph);
+                }
+                (corpus_text, cursor, delivered)
+            })
+            .collect()
     }
 
     /// Fire-and-forget close; the campaign is already complete.
@@ -293,6 +286,30 @@ impl Link {
         }
         self.retire_channel();
     }
+}
+
+/// Whether `answer` is the hub's reply to `request`: a push is acked by
+/// `(round, shard)`, a pull answered by `(barrier, shard)` and a round
+/// report by its round.
+fn answers_to(request: &Message, answer: &Message) -> bool {
+    match (request, answer) {
+        (Message::PushUpdate { round, update }, Message::PushAck { round: r, shard, .. }) => {
+            r == round && *shard == update.shard
+        }
+        (
+            Message::PullRequest { barrier, shard, .. },
+            Message::PullResponse { barrier: b, shard: s, .. },
+        ) => b == barrier && s == shard,
+        (Message::RoundDone { round, .. }, Message::RoundAck { round: r, .. }) => r == round,
+        _ => false,
+    }
+}
+
+/// `shard`'s pull at `barrier`: from its cursor, or the whole hub corpus
+/// when `full`.
+fn pull_request(barrier: usize, shard: &Shard, full: bool) -> Message {
+    let cursor = if full { 0 } else { shard.cursor() };
+    Message::PullRequest { barrier, shard: shard.id, cursor, full }
 }
 
 /// Runs this host's slice of a distributed campaign against a hub.
@@ -356,6 +373,14 @@ impl WorkerRuntime {
         let mut pool =
             ShardRound::boot(spec, &make_config, ids, threads, campaign.flap_limit, schedule);
         let table = pool.shards[0].engine().desc_table().clone();
+        if table_digest(&table) != campaign.table_digest {
+            link.bye("description table mismatch");
+            return Err(NetError::Protocol(format!(
+                "hub description table digest {:x} differs from ours {:x}",
+                campaign.table_digest,
+                table_digest(&table)
+            )));
+        }
         let mut restored = vec![0usize; local];
         let mut pulled = vec![0u64; local];
         let mut heartbeats = vec![0u64; local];
@@ -364,7 +389,13 @@ impl WorkerRuntime {
         // the wire. On a fresh campaign the hub is empty and this is a
         // no-op import; on resume it delivers the snapshot corpus.
         if campaign.sync {
-            let mut answers = link.pull_each(schedule.start_round, &pool.shards, &table)?;
+            let pulls: Vec<Message> = pool
+                .shards
+                .iter()
+                .map(|shard| pull_request(schedule.start_round, shard, false))
+                .collect();
+            let answers = link.exchange(&pulls)?;
+            let mut answers = link.pull_answers(answers, &table);
             let graph = link.hub_graph.as_ref();
             restored = pool.each_with(&mut answers, |shard, (text, cursor, _)| {
                 shard.apply_restore(text, *cursor, graph)
@@ -382,25 +413,30 @@ impl WorkerRuntime {
             }
             let mut updates = pool.slice(round);
 
-            // Push every shard's update, built on the pool; the hub
-            // applies them in global shard-id order once all fleet
-            // shards have reported.
-            let wires = pool.each_with(&mut updates, |shard, update| WireUpdate {
-                shard: update.shard,
-                corpus_delta: std::mem::take(&mut update.corpus_delta),
-                new_blocks: update.new_blocks.iter().map(|b| b.0).collect(),
-                relations_text: update.relations.as_ref().map(|g| g.export(&table)),
-                crashes: shard.engine().crash_db().records().into_iter().cloned().collect(),
+            // One window: every shard's update, built on the pool (the
+            // hub applies them in global shard-id order once all fleet
+            // shards have reported), then every shard's pull of the peers'
+            // seeds published this round (barrier `round + 1`: the hub
+            // answers once the round is applied).
+            let mut window: Vec<Message> = pool.each_with(&mut updates, |shard, update| {
+                let update = WireUpdate {
+                    shard: update.shard,
+                    corpus_delta: std::mem::take(&mut update.corpus_delta),
+                    new_blocks: update.new_blocks.iter().map(|b| b.0).collect(),
+                    relations: update.relations.as_ref().map(RelationGraph::to_wire),
+                    crashes: shard.engine().crash_db().records().into_iter().cloned().collect(),
+                };
+                Message::PushUpdate { round, update }
             });
-            for wire in wires {
-                link.push(round, wire)?;
-            }
-
-            // Pull the peers' seeds published this round (barrier
-            // `round + 1`: the hub answers once the round is applied),
-            // then apply the answers on the pool.
             if campaign.sync {
-                let mut answers = link.pull_each(round + 1, &pool.shards, &table)?;
+                window.extend(pool.shards.iter().map(|shard| pull_request(round + 1, shard, false)));
+            }
+            let answers = link.exchange(&window)?;
+
+            // Apply the pull answers on the pool.
+            if campaign.sync {
+                let answers = answers.into_iter().skip(local);
+                let mut answers = link.pull_answers(answers, &table);
                 let graph = link.hub_graph.as_ref();
                 let accepted = pool.each_with(&mut answers, |shard, (text, cursor, delivered)| {
                     shard.apply_pull(text, *cursor, *delivered as usize, graph)
@@ -413,7 +449,8 @@ impl WorkerRuntime {
             // A restarted shard re-primes from the whole hub corpus: a
             // `full` pull at the same barrier.
             pool.heal(round, |shard| {
-                let (text, cursor, _) = link.pull(round + 1, shard, true, &table)?;
+                let answer = link.exchange(&[pull_request(round + 1, shard, true)])?;
+                let (text, cursor, _) = link.pull_answers(answer, &table).remove(0);
                 shard.apply_restore(&text, cursor, link.hub_graph.as_ref());
                 Ok::<(), NetError>(())
             })?;
@@ -443,10 +480,10 @@ impl WorkerRuntime {
                 .collect();
             let net = link.counters();
             let done = Message::RoundDone { round, stats, net };
-            let ack = link.request_where(&done, |m| {
-                matches!(m, Message::RoundAck { round: acked, .. } if *acked == round)
-            })?;
-            let Message::RoundAck { continue_campaign, .. } = ack else { unreachable!() };
+            let ack = link.exchange(&[done])?.remove(0);
+            let Message::RoundAck { continue_campaign, .. } = ack else {
+                unreachable!("matched as a round ack")
+            };
             if !continue_campaign {
                 finished = rounds_completed == schedule.total_rounds;
                 break;

@@ -21,15 +21,35 @@
 //! missing required keys, bad numbers, torn frames, oversized lengths,
 //! and checksum mismatches each surface as their own typed
 //! [`NetError`] and feed their own [`NetCounters`] key.
+//!
+//! Protocol v2 carries relation graphs as data, not as export text: the
+//! `relations` field of a push or pull answer is `-` (no graph) or one
+//! line of the learn count and the edges as hex id/id/weight-bits
+//! triples ([`WireGraph`]),
+//!
+//! ```text
+//! relations learns=42 3,1f,3fe0000000000000 4,2,3fd0000000000000
+//! ```
+//!
+//! Ids index the description table, so the `HelloAck` campaign carries
+//! a digest of the table's names ([`table_digest`]) and a worker whose
+//! table differs refuses the session. A malformed triple fails the
+//! message like any other malformed field; ids and weights are checked
+//! against the table when the graph is rebuilt
+//! ([`RelationGraph::import_wire`]).
+//!
+//! [`RelationGraph::import_wire`]: crate::relation::RelationGraph::import_wire
 
 use super::{NetCounters, NetError};
 use crate::config::FuzzerConfig;
 use crate::crashes::CrashRecord;
 use crate::fleet::snapshot::{crash_fields, escape, escape_into, parse_crash_line, unescape};
 use crate::frame::{self, FrameError};
+use crate::relation::WireGraph;
 use crate::supervisor::FaultCounters;
 use droidfuzz_analysis::counters::{parse_tokens, CounterFamily};
 use droidfuzz_analysis::LintCounters;
+use fuzzlang::desc::DescTable;
 use std::fmt::Write;
 
 /// First line of a captured net stream (one direction of one
@@ -38,7 +58,7 @@ pub const NET_STREAM_HEADER: &str = "# droidfuzz-net stream v1";
 
 /// Protocol version carried in `Hello`/`HelloAck`. Peers with different
 /// versions refuse the session with [`NetError::Version`].
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a frame's declared payload length. A header declaring
 /// more is rejected before any allocation ([`NetError::Oversized`]).
@@ -71,6 +91,23 @@ pub struct CampaignSpec {
     pub start_round: usize,
     /// Fleet clock at `start_round`, µs.
     pub clock_us: u64,
+    /// [`table_digest`] of the hub's description table: relation graphs
+    /// travel as description ids, which mean the same calls only on
+    /// equal tables.
+    pub table_digest: u64,
+}
+
+/// FNV-1a digest of a description table's names in id order (each name
+/// length-prefixed), the identity of the id space wire graphs use.
+pub fn table_digest(table: &DescTable) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (_, desc) in table.iter() {
+        let name = desc.name.as_bytes();
+        for &byte in (name.len() as u64).to_le_bytes().iter().chain(name) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 impl CampaignSpec {
@@ -95,12 +132,10 @@ pub fn variant_config(variant: &str, seed: u64) -> Option<FuzzerConfig> {
     })
 }
 
-/// A [`crate::fleet::ShardUpdate`] in wire form: relations travel as
-/// export text (rebuilt against the receiver's [`DescTable`]) and the
-/// shard's full crash-record list rides along so the hub can run crash
-/// sync exactly like the local orchestrator.
-///
-/// [`DescTable`]: fuzzlang::desc::DescTable
+/// A [`crate::fleet::ShardUpdate`] in wire form: the relation graph
+/// travels as a [`WireGraph`] (rebuilt against the receiver's
+/// [`DescTable`]) and the shard's full crash-record list rides along so
+/// the hub can run crash sync exactly like the local orchestrator.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireUpdate {
     /// Global shard id.
@@ -109,9 +144,9 @@ pub struct WireUpdate {
     pub corpus_delta: String,
     /// Newly observed coverage block ids.
     pub new_blocks: Vec<u64>,
-    /// Relation-graph export text, present only when the shard's graph
-    /// revision moved since its last publish.
-    pub relations_text: Option<String>,
+    /// The shard's relation graph, present only when its revision moved
+    /// since its last publish.
+    pub relations: Option<WireGraph>,
     /// The shard's full deduplicated crash list (stable
     /// first-seen order).
     pub crashes: Vec<CrashRecord>,
@@ -227,9 +262,9 @@ pub enum Message {
         cursor: u64,
         /// Seeds delivered in `corpus_text`.
         delivered: u64,
-        /// Hub relation-graph export, present only when its revision
-        /// moved since this session last received it.
-        relations_text: Option<String>,
+        /// The hub relation graph, present only when its revision moved
+        /// since this session last received it.
+        relations: Option<WireGraph>,
     },
     /// Worker → hub: all local shards finished the round (pushes acked,
     /// pulls applied); telemetry attached.
@@ -305,19 +340,72 @@ fn text_line(out: &mut String, key: &str, value: &str) {
     out.push('\n');
 }
 
-/// [`text_line`] for an optional field; `-` when absent.
-fn opt_text_line(out: &mut String, key: &str, value: Option<&str>) {
-    match value {
-        Some(value) => text_line(out, key, value),
-        None => {
-            out.push_str(key);
-            out.push_str(" -\n");
+/// The `relations` line: `-` without a graph, otherwise
+/// `learns=<n>` and one `<from>,<to>,<weight bits>` hex triple per edge.
+fn relations_line(out: &mut String, graph: Option<&WireGraph>) {
+    out.push_str("relations");
+    match graph {
+        None => out.push_str(" -"),
+        Some(graph) => {
+            write!(out, " learns={}", graph.learn_events).expect("write to String");
+            out.reserve(graph.edges.len() * 24);
+            for &(from, to, bits) in &graph.edges {
+                out.push(' ');
+                push_hex(out, from as u64);
+                out.push(',');
+                push_hex(out, to as u64);
+                out.push(',');
+                push_hex(out, bits);
+            }
         }
+    }
+    out.push('\n');
+}
+
+/// Appends `value` in lowercase hex without leading zeros (`{:x}`).
+fn push_hex(out: &mut String, value: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let nibbles = ((64 - value.leading_zeros() as usize).div_ceil(4)).max(1);
+    for i in (0..nibbles).rev() {
+        out.push(char::from(DIGITS[((value >> (4 * i)) & 0xf) as usize]));
     }
 }
 
-fn parse_opt_field(value: &str) -> Option<String> {
-    (value != "-").then(|| unescape(value))
+/// Parses 1 to 16 hex digits (either case, nothing else).
+fn parse_hex(digits: &str) -> Option<u64> {
+    if digits.is_empty() || digits.len() > 16 {
+        return None;
+    }
+    digits.bytes().try_fold(0u64, |value, byte| {
+        let nibble = char::from(byte).to_digit(16)?;
+        Some(value << 4 | u64::from(nibble))
+    })
+}
+
+/// One `<from>,<to>,<weight bits>` hex triple.
+fn parse_triple(token: &str) -> Option<(usize, usize, u64)> {
+    let mut fields = token.split(',');
+    let mut hex = || parse_hex(fields.next()?);
+    let triple = (usize::try_from(hex()?).ok()?, usize::try_from(hex()?).ok()?, hex()?);
+    fields.next().is_none().then_some(triple)
+}
+
+/// Parses a `relations` value; a malformed token is garbage.
+fn parse_relations(value: &str) -> Result<Option<WireGraph>, NetError> {
+    if value == "-" {
+        return Ok(None);
+    }
+    let bad = |what: &str| NetError::Garbage(format!("bad relations {what}"));
+    let mut tokens = value.split(' ');
+    let learn_events = tokens
+        .next()
+        .and_then(|t| t.strip_prefix("learns="))
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| bad("learn count"))?;
+    let edges = tokens
+        .map(|token| parse_triple(token).ok_or_else(|| bad(&format!("triple {token:?}"))))
+        .collect::<Result<_, _>>()?;
+    Ok(Some(WireGraph { learn_events, edges }))
 }
 
 fn encode_stat_line(out: &mut String, s: &WireShardStats) {
@@ -396,6 +484,7 @@ pub fn encode_message(msg: &Message) -> String {
             out.push_str(&format!("flap-limit {}\n", campaign.flap_limit));
             out.push_str(&format!("start-round {}\n", campaign.start_round));
             out.push_str(&format!("clock-us {}\n", campaign.clock_us));
+            out.push_str(&format!("table-digest {:x}\n", campaign.table_digest));
         }
         Message::PushUpdate { round, update } => {
             out.push_str("msg push\n");
@@ -407,7 +496,7 @@ pub fn encode_message(msg: &Message) -> String {
                 write!(out, " {block:x}").expect("write to String");
             }
             out.push('\n');
-            opt_text_line(&mut out, "relations", update.relations_text.as_deref());
+            relations_line(&mut out, update.relations.as_ref());
             for crash in &update.crashes {
                 out.push_str(&format!("crash {}\n", crash_fields(crash)));
             }
@@ -425,13 +514,13 @@ pub fn encode_message(msg: &Message) -> String {
             out.push_str(&format!("cursor {cursor}\n"));
             out.push_str(&format!("full {}\n", u8::from(*full)));
         }
-        Message::PullResponse { barrier, shard, corpus_text, cursor, delivered, relations_text } => {
+        Message::PullResponse { barrier, shard, corpus_text, cursor, delivered, relations } => {
             out.push_str("msg pull-resp\n");
             out.push_str(&format!("barrier {barrier}\n"));
             out.push_str(&format!("shard {shard}\n"));
             out.push_str(&format!("cursor {cursor}\n"));
             out.push_str(&format!("delivered {delivered}\n"));
-            opt_text_line(&mut out, "relations", relations_text.as_deref());
+            relations_line(&mut out, relations.as_ref());
             text_line(&mut out, "corpus", corpus_text);
         }
         Message::RoundDone { round, stats, net } => {
@@ -532,11 +621,19 @@ impl<'a> Lines<'a> {
         Ok(self.num::<u8>(key)? != 0)
     }
 
-    fn opt_str_field(&self, key: &str) -> Result<Option<String>, NetError> {
+    fn relations(&self) -> Result<Option<WireGraph>, NetError> {
+        let value = self
+            .fields
+            .get("relations")
+            .ok_or_else(|| NetError::Garbage("missing field relations".into()))?;
+        parse_relations(value)
+    }
+
+    fn hex(&self, key: &str) -> Result<u64, NetError> {
         self.fields
             .get(key)
-            .map(|v| parse_opt_field(v))
-            .ok_or_else(|| NetError::Garbage(format!("missing field {key}")))
+            .and_then(|v| u64::from_str_radix(v, 16).ok())
+            .ok_or_else(|| NetError::Garbage(format!("missing/bad hex field {key}")))
     }
 }
 
@@ -577,6 +674,7 @@ pub fn decode_message(text: &str) -> Result<Message, NetError> {
                 flap_limit: body.num("flap-limit")?,
                 start_round: body.num("start-round")?,
                 clock_us: body.num("clock-us")?,
+                table_digest: body.hex("table-digest")?,
             },
         }),
         "push" => {
@@ -595,7 +693,7 @@ pub fn decode_message(text: &str) -> Result<Message, NetError> {
                     shard: body.num("shard")?,
                     corpus_delta: body.str_field("corpus")?,
                     new_blocks: blocks,
-                    relations_text: body.opt_str_field("relations")?,
+                    relations: body.relations()?,
                     crashes: body.crashes,
                 },
             })
@@ -617,7 +715,7 @@ pub fn decode_message(text: &str) -> Result<Message, NetError> {
             corpus_text: body.str_field("corpus")?,
             cursor: body.num("cursor")?,
             delivered: body.num("delivered")?,
-            relations_text: body.opt_str_field("relations")?,
+            relations: body.relations()?,
         }),
         "round-done" => Ok(Message::RoundDone {
             round: body.num("round")?,
@@ -663,6 +761,7 @@ mod tests {
             flap_limit: 2,
             start_round: 1,
             clock_us: 180_000_000,
+            table_digest: 0x1234_5678_9abc_def0,
         }
     }
 
@@ -691,7 +790,10 @@ mod tests {
                 shard: 3,
                 corpus_delta: "# seed 1 signals=2\nr0 = openat$/dev/video0()\n".into(),
                 new_blocks: vec![0x10, 0xff43, 0],
-                relations_text: Some("# relation-graph v1\nedge a\tb\t0.5\n".into()),
+                relations: Some(WireGraph {
+                    learn_events: 7,
+                    edges: vec![(0, 2, 0.5f64.to_bits()), (0x1f, 3, (-0.0f64).to_bits())],
+                }),
                 crashes: vec![CrashRecord {
                     title: "KASAN: uaf\tin v4l".into(),
                     kind: BugKind::KasanUseAfterFree,
@@ -710,7 +812,15 @@ mod tests {
             corpus_text: "# seed 3 signals=1\nr0 = x()\n".into(),
             cursor: 20,
             delivered: 3,
-            relations_text: None,
+            relations: None,
+        });
+        round_trip(Message::PullResponse {
+            barrier: 5,
+            shard: 1,
+            corpus_text: String::new(),
+            cursor: 20,
+            delivered: 0,
+            relations: Some(WireGraph { learn_events: 0, edges: Vec::new() }),
         });
         round_trip(Message::RoundDone {
             round: 5,
@@ -863,6 +973,92 @@ mod tests {
                 matches!(decode_message(bad), Err(NetError::Garbage(_))),
                 "{bad:?} decoded"
             );
+        }
+    }
+
+    #[test]
+    fn relation_triples_are_hex_and_pinned() {
+        let msg = Message::PullResponse {
+            barrier: 2,
+            shard: 0,
+            corpus_text: String::new(),
+            cursor: 0,
+            delivered: 0,
+            relations: Some(WireGraph {
+                learn_events: 42,
+                edges: vec![(3, 0x1f, 0.5f64.to_bits()), (0, 2, 0)],
+            }),
+        };
+        let text = encode_message(&msg);
+        assert!(text.contains("\nrelations learns=42 3,1f,3fe0000000000000 0,2,0\n"), "{text}");
+        for value in [0, 1, 0xf, 0x10, 0xdead_beef, u64::MAX, 1 << 63] {
+            let mut out = String::new();
+            push_hex(&mut out, value);
+            assert_eq!(out, format!("{value:x}"));
+            assert_eq!(parse_hex(&out), Some(value));
+        }
+        for bad in ["", "g", "+1", "-1", "0x1", "1_0", "10000000000000000"] {
+            assert_eq!(parse_hex(bad), None, "{bad:?}");
+        }
+    }
+
+    /// A push payload whose `relations` line is `value`.
+    fn push_with_relations(value: &str) -> String {
+        format!("msg push\nround 1\nshard 0\ncorpus x\nblocks\nrelations {value}\n")
+    }
+
+    #[test]
+    fn malformed_relations_are_garbage() {
+        for bad in [
+            "",
+            "learns=",
+            "learns=x",
+            "3,1f,0",
+            "learns=1 3,1f",
+            "learns=1 3,1f,0,0",
+            "learns=1 3,,0",
+            "learns=1 3,1f,zz",
+            "learns=1 3,1f,10000000000000000",
+            "learns=1  3,1f,0",
+            "learns=1 3,1f,0 ",
+        ] {
+            assert!(
+                matches!(decode_message(&push_with_relations(bad)), Err(NetError::Garbage(_))),
+                "{bad:?} decoded"
+            );
+        }
+        let ok = decode_message(&push_with_relations("learns=1 ffffffff,0,7ff8000000000000"));
+        let Ok(Message::PushUpdate { update, .. }) = ok else { panic!("{ok:?}") };
+        assert_eq!(
+            update.relations,
+            Some(WireGraph { learn_events: 1, edges: vec![(0xffff_ffff, 0, f64::NAN.to_bits())] })
+        );
+    }
+
+    proptest::proptest! {
+        /// Arbitrary `relations` values and single-byte mutations of a
+        /// valid one decode or fail as typed garbage, never panic; what
+        /// decodes re-encodes to a message that decodes the same.
+        #[test]
+        fn arbitrary_relations_decode_or_fail_typed(
+            value in "[ -~]{0,64}",
+            at in proptest::prelude::any::<usize>(),
+            byte in proptest::prelude::any::<u8>(),
+        ) {
+            let valid = "learns=7 3,1f,3fe0000000000000 0,2,0 a,b,8000000000000000".to_owned();
+            let mut mutated = valid.into_bytes();
+            let at = at % mutated.len();
+            mutated[at] = byte;
+            let mutated = String::from_utf8_lossy(&mutated).replace('\n', " ");
+            for value in [value, mutated] {
+                match decode_message(&push_with_relations(&value)) {
+                    Ok(msg) => {
+                        let again = decode_message(&encode_message(&msg));
+                        proptest::prop_assert_eq!(again, Ok(msg));
+                    }
+                    Err(e) => proptest::prop_assert!(matches!(e, NetError::Garbage(_)), "{e}"),
+                }
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 //! persist sink and checkpoint cadence a local [`Fleet`] runs — so a
 //! fixed-seed distributed campaign reproduces the local `--threads` path
 //! bit for bit (the snapshot differs only in its `net` counter lines).
-//! The round's shard graphs are rebuilt from their wire text on scoped
+//! The round's shard graphs are rebuilt from their wire form on scoped
 //! threads, one per core and at most one per update, before that
 //! in-order apply. Pull requests carry a *barrier* (how many rounds the
 //! hub must have applied before answering); requests arriving early are
@@ -38,8 +38,8 @@ use simdevice::catalog;
 use simkernel::coverage::Block;
 
 use super::codec::{
-    encode_frame, encode_message, CampaignSpec, Message, WireShardStats, WireUpdate,
-    PROTOCOL_VERSION,
+    encode_frame, encode_message, table_digest, variant_config, CampaignSpec, Message,
+    WireShardStats, WireUpdate, PROTOCOL_VERSION,
 };
 use super::transport::{ChannelReceiver, Listener, Transport};
 use super::{NetCounters, NetError};
@@ -192,6 +192,13 @@ impl HubServer {
         let fleet = &self.cfg.fleet;
         let start = resume.map_or((0, 0), |s| (s.round, s.clock_us));
         let schedule = Schedule::new(fleet.hours, fleet.sync_interval_hours, start);
+        // The campaign's engine config at offset 0 (`CampaignSpec::engine_config(0)`).
+        let probe_cfg = variant_config(&self.cfg.variant, self.cfg.seed)
+            .ok_or_else(|| NetError::Protocol(format!("unknown variant {:?}", self.cfg.variant)))?;
+        // One probe engine, booted once: the campaign's interface table
+        // (the id space of wire relation graphs) and the reporting label.
+        // Seed-independent, like `Fleet::resume_durable`'s recovery probe.
+        let table = FuzzingEngine::new(spec.clone().boot(), probe_cfg.clone()).desc_table().clone();
         let campaign = CampaignSpec {
             device: self.cfg.device.clone(),
             variant: self.cfg.variant.clone(),
@@ -204,15 +211,8 @@ impl HubServer {
             flap_limit: fleet.flap_limit,
             start_round: schedule.start_round,
             clock_us: schedule.clock_offset_us,
+            table_digest: table_digest(&table),
         };
-        let probe_cfg = campaign
-            .engine_config(0)
-            .ok_or_else(|| NetError::Protocol(format!("unknown variant {:?}", self.cfg.variant)))?;
-        // One probe engine, booted once: the campaign's interface table
-        // (needed to rebuild relation graphs from wire text) and the
-        // reporting label. Seed-independent, like `Fleet::resume_durable`'s
-        // recovery probe.
-        let table = FuzzingEngine::new(spec.clone().boot(), probe_cfg.clone()).desc_table().clone();
         let sync = HubRound::new(fleet, schedule, &table, resume, persist);
 
         let (events_tx, events_rx) = mpsc::channel::<Event>();
@@ -561,7 +561,7 @@ impl HubCore<'_, '_> {
                     db
                 })
                 .collect();
-            // The shards' graphs are rebuilt from text on scoped threads
+            // The shards' graphs are rebuilt on scoped threads
             // (`ServeConfig` has no thread count: one per core, at most
             // one per update), then applied in shard-id order (BTreeMap
             // iteration), as the local fleet applies its updates.
@@ -570,9 +570,9 @@ impl HubCore<'_, '_> {
             let workers = thread::available_parallelism().map_or(1, usize::from).min(wires.len());
             let chunk_len = wires.len().div_ceil(workers.max(1)).max(1);
             let graphs = on_workers(&mut wires, chunk_len, |(_, wire)| {
-                wire.relations_text.as_deref().map(|text| {
+                wire.relations.as_ref().map(|wire| {
                     let mut graph = RelationGraph::new(table);
-                    graph.import(text, table);
+                    graph.import_wire(wire, table);
                     graph
                 })
             });
@@ -608,9 +608,9 @@ impl HubCore<'_, '_> {
         self.seeds_pulled += delivered as usize;
         let rev = self.sync.hub.relations().map_or(0, RelationGraph::revision);
         let sent_rev = self.sessions[pull.session].relations_rev_sent;
-        let relations_text = if rev > sent_rev {
+        let relations = if rev > sent_rev {
             self.sessions[pull.session].relations_rev_sent = rev;
-            self.sync.hub.relations().map(|g| g.export(&self.table))
+            self.sync.hub.relations().map(RelationGraph::to_wire)
         } else {
             None
         };
@@ -620,7 +620,7 @@ impl HubCore<'_, '_> {
             corpus_text,
             cursor,
             delivered,
-            relations_text,
+            relations,
         };
         self.enqueue(pull.session, &response);
     }

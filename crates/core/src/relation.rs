@@ -26,6 +26,21 @@ use rand::Rng;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
+/// A relation graph as the wire carries it: the learn count and every
+/// edge as `(from id, to id, weight bits)`, by ascending `(from, to)`.
+/// Ids index the sender's description table, so both ends must share
+/// one (the wire handshake compares table digests). Shortest-roundtrip
+/// text and raw bits name the same `f64`, so a graph rebuilt from this
+/// form equals one rebuilt from the [`export`](RelationGraph::export)
+/// text.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct WireGraph {
+    /// Learn-event count of the sender's graph.
+    pub learn_events: u64,
+    /// Every edge as `(from, to, f64::to_bits(weight))`.
+    pub edges: Vec<(usize, usize, u64)>,
+}
+
 /// The relation graph.
 #[derive(Debug, Clone)]
 pub struct RelationGraph {
@@ -322,6 +337,39 @@ impl RelationGraph {
             self.set_edge(a.0, b.0, w);
         }
         (accepted, rejected)
+    }
+
+    /// The graph in wire form (see [`WireGraph`]).
+    pub fn to_wire(&self) -> WireGraph {
+        WireGraph {
+            learn_events: self.learn_events,
+            edges: self.edges().map(|(a, b, w)| (a.0, b.0, w.to_bits())).collect(),
+        }
+    }
+
+    /// Restores edges from their wire form, staged and renormalized
+    /// exactly like [`import`](Self::import), so the result equals
+    /// importing the sender's export text. An edge is rejected when an
+    /// id is outside `table`, when an end's name holds a tab or newline
+    /// (the text form cannot carry it), or when its weight is negative
+    /// or not finite. Returns `(accepted, rejected)`.
+    pub fn import_wire(&mut self, wire: &WireGraph, table: &DescTable) -> (usize, usize) {
+        let text_safe =
+            |id: usize| id < table.len() && !table.get(DescId(id)).name.contains(['\t', '\n']);
+        let staged: Vec<(usize, usize, f64)> = wire
+            .edges
+            .iter()
+            .map(|&(a, b, bits)| (a, b, f64::from_bits(bits)))
+            .filter(|&(a, b, w)| text_safe(a) && text_safe(b) && w.is_finite() && w >= 0.0)
+            .collect();
+        let counts = (staged.len(), wire.edges.len() - staged.len());
+        self.learn_events = self.learn_events.max(wire.learn_events);
+        self.revision += 1;
+        for (a, b, w) in staged {
+            self.set_edge(a, b, w);
+        }
+        self.normalize_in_weights();
+        counts
     }
 
     /// Merges a peer's learned edges into this graph (fleet relation
@@ -1008,6 +1056,84 @@ mod tests {
                 );
             }
             Ok(())
+        }
+    }
+
+    /// Names whose order is not their id order; one holds a tab, which
+    /// the text form cannot carry.
+    const WIRE_NAMES: [&str; 7] = ["m", "c", "tab\tname", "a", "q", "b", "zz"];
+
+    fn wire_table() -> DescTable {
+        let mut t = DescTable::new();
+        for (code, name) in WIRE_NAMES.into_iter().enumerate() {
+            let kind = CallKind::Hal { service: "s".into(), code: code as u32 };
+            t.add(CallDesc::new(name, kind, vec![], None));
+        }
+        t
+    }
+
+    /// Everything two graphs can differ in: edge weight bits, edge count,
+    /// learn count, the source index and the export text.
+    fn same_graph(x: &RelationGraph, y: &RelationGraph, t: &DescTable) -> Result<(), String> {
+        let bits = |g: &RelationGraph| -> Vec<(usize, usize, u64)> {
+            g.to_wire().edges
+        };
+        prop_assert_eq!(bits(x), bits(y));
+        prop_assert_eq!(x.edge_count, y.edge_count);
+        prop_assert_eq!(x.learn_events, y.learn_events);
+        prop_assert_eq!(&x.sources, &y.sources);
+        prop_assert_eq!(x.export(t), y.export(t));
+        Ok(())
+    }
+
+    #[test]
+    fn wire_import_rejects_and_counts_bad_triples() {
+        let t = wire_table();
+        let wire = WireGraph {
+            learn_events: 9,
+            edges: vec![
+                (0, 1, 0.5f64.to_bits()),
+                (7, 1, 0.5f64.to_bits()),
+                (0, usize::MAX, 0.5f64.to_bits()),
+                (3, 4, (-0.25f64).to_bits()),
+                (3, 4, f64::NAN.to_bits()),
+                (3, 4, f64::INFINITY.to_bits()),
+                (2, 4, 0.5f64.to_bits()),
+                (4, 5, (-0.0f64).to_bits()),
+            ],
+        };
+        let mut g = RelationGraph::new(&t);
+        assert_eq!(g.import_wire(&wire, &t), (2, 6));
+        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.learn_events(), 9);
+        assert_eq!(g.edge_weight(DescId(4), DescId(5)).map(f64::to_bits), Some((-0.0f64).to_bits()));
+    }
+
+    proptest! {
+        /// Graphs built by random learn, decay (pruning), merge and prior
+        /// sequences cross the wire as triples into the graph their export
+        /// text imports into, and both export the same text.
+        #[test]
+        fn wire_round_trip_equals_text_round_trip(
+            ops in prop::collection::vec((0u8..8, 0usize..WIRE_NAMES.len(), 0usize..WIRE_NAMES.len()), 1..60),
+        ) {
+            let t = wire_table();
+            let (mut graph, mut peer) = (RelationGraph::new(&t), RelationGraph::new(&t));
+            for (op, a, b) in ops {
+                match op {
+                    0..=2 => graph.learn(DescId(a), DescId(b)),
+                    3 => peer.learn(DescId(a), DescId(b)),
+                    4 => graph.decay([0.01, 0.5, 0.9][a % 3]),
+                    5 => graph.merge_from(&peer),
+                    6 => graph.seed_prior(&[(DescId(a), DescId(b)), (DescId(b), DescId((a + 1) % 7))]),
+                    _ => peer.decay(0.5),
+                }
+                let (mut by_text, mut by_wire) = (RelationGraph::new(&t), RelationGraph::new(&t));
+                let text_counts = by_text.import(&graph.export(&t), &t);
+                let wire_counts = by_wire.import_wire(&graph.to_wire(), &t);
+                prop_assert_eq!(text_counts, wire_counts);
+                same_graph(&by_text, &by_wire, &t)?;
+            }
         }
     }
 

@@ -17,6 +17,11 @@
 //! accepts every valid frame up to the first corruption, then reports
 //! the dropped byte count — a torn final append costs exactly the
 //! records that were never durable, never the whole journal.
+//!
+//! Appends are group commits: [`Journal::append_batch`] frames a batch
+//! of records into one medium append followed by one sync, and a single
+//! record is a batch of one. The bytes on the medium are the same as
+//! appending the records one by one.
 
 use super::medium::StorageMedium;
 use super::StoreError;
@@ -131,14 +136,31 @@ impl<M: StorageMedium> Journal<M> {
         self.next_seq
     }
 
-    /// Durably appends one delta record (frame + fsync) and returns its
-    /// sequence number.
+    /// Durably appends one delta record and returns its sequence number:
+    /// a batch of one.
     pub fn append(&mut self, payload: &str) -> Result<u64, StoreError> {
-        let seq = self.next_seq;
-        self.medium.append(&self.name, &frame::encode(seq, payload.as_bytes()))?;
+        self.append_batch([payload])
+    }
+
+    /// Durably appends a batch of delta records (group commit): their
+    /// frames, numbered in order, go to the medium as one append followed
+    /// by one fsync. Returns the first record's sequence number; on any
+    /// failure the sequence does not advance.
+    pub fn append_batch<'p>(
+        &mut self,
+        payloads: impl IntoIterator<Item = &'p str>,
+    ) -> Result<u64, StoreError> {
+        let first = self.next_seq;
+        let mut seq = first;
+        let mut bytes = Vec::new();
+        for payload in payloads {
+            frame::encode_into(&mut bytes, seq, payload.as_bytes());
+            seq += 1;
+        }
+        self.medium.append(&self.name, &bytes)?;
         self.medium.sync(&self.name)?;
-        self.next_seq += 1;
-        Ok(seq)
+        self.next_seq = seq;
+        Ok(first)
     }
 
     /// Scans the on-medium journal for generation `base`.
@@ -172,6 +194,23 @@ mod tests {
                 JournalRecord { seq: 1, payload: "edge a\tb\t0.5".into() },
             ]
         );
+    }
+
+    #[test]
+    fn a_batch_is_one_append_and_one_sync_of_the_per_record_bytes() {
+        let payloads = ["seed 2\tr0 = open()", "learns 3", "", "round 1 9"];
+        let (batched, single) = (SimMedium::new(), SimMedium::new());
+        let mut journal = Journal::create(batched.clone(), 1).unwrap();
+        let ops = batched.ops();
+        assert_eq!(journal.append_batch(payloads).unwrap(), 0);
+        assert_eq!(batched.ops() - ops, 2, "one append, one sync");
+        assert_eq!(journal.append_batch(["next"]).unwrap(), 4);
+        let mut reference = Journal::create(single.clone(), 1).unwrap();
+        for payload in payloads.into_iter().chain(["next"]) {
+            reference.append(payload).unwrap();
+        }
+        assert_eq!(batched.read(&journal_name(1)).unwrap(), single.read(&journal_name(1)).unwrap());
+        assert_eq!(journal.next_seq(), 5);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! program text — must answer random bytes and single-byte mutations of
 //! valid encodings with `Ok`, a typed error or a counted rejection, and
 //! never panic. An imported relation graph, alone and merged into a
-//! learned one, must also audit clean for Eq. 1.
+//! learned one, must also audit clean for Eq. 1, and so must one rebuilt
+//! from a decoded message's wire relations (every triple accepted or
+//! counted as rejected).
 
 use std::sync::OnceLock;
 
@@ -100,6 +102,7 @@ fn valid_encodings() -> &'static [Vec<u8>] {
             FleetDelta::Counters(CounterRecord::of(&snapshot.fault_totals)),
             FleetDelta::Round { round: 2, clock_us: 1_800 },
         ];
+        let table = table();
         let medium = SimMedium::new();
         let mut journal = Journal::create(medium.clone(), 0).unwrap();
         for delta in &deltas {
@@ -112,7 +115,7 @@ fn valid_encodings() -> &'static [Vec<u8>] {
                     shard: 1,
                     corpus_delta: snapshot.corpus_text.clone(),
                     new_blocks: vec![0x10],
-                    relations_text: Some(snapshot.relations_text.clone()),
+                    relations: Some(learned_graph(&table).to_wire()),
                     crashes: vec![crash()],
                 },
             },
@@ -130,7 +133,6 @@ fn valid_encodings() -> &'static [Vec<u8>] {
             Message::Hello { version: 1, worker: "w0".into(), shards: 2, claim: Some(1) },
         ];
 
-        let table = table();
         let mut samples = vec![
             snapshot.to_text().into_bytes(),
             snapshot.corpus_text.clone().into_bytes(),
@@ -169,7 +171,21 @@ fn decode_everything(bytes: &[u8], table: &DescTable) -> Result<(), String> {
         prop_assert!(payload.len() < consumed && consumed <= bytes.len());
     }
     if let Ok(message) = decode_message(&text) {
-        prop_assert_eq!(decode_message(&encode_message(&message)), Ok(message));
+        let again = decode_message(&encode_message(&message));
+        prop_assert_eq!(again.as_ref(), Ok(&message));
+        let wire = match &message {
+            Message::PushUpdate { update, .. } => update.relations.as_ref(),
+            Message::PullResponse { relations, .. } => relations.as_ref(),
+            _ => None,
+        };
+        if let Some(wire) = wire {
+            let mut graph = RelationGraph::new(table);
+            let (accepted, rejected) = graph.import_wire(wire, table);
+            prop_assert_eq!(accepted + rejected, wire.edges.len());
+            prop_assert!(graph.edge_count() <= accepted);
+            let report = audit_relations(&graph.export(table), table);
+            prop_assert!(!report.has_errors(), "wire graph: {:?}", report.diagnostics);
+        }
     }
     let _ = audit_snapshot(&text, table);
 

@@ -2,8 +2,11 @@
 //! tentpole bit-identity guarantee (a fixed-seed distributed campaign
 //! over loopback equals the local `--threads` run), reliable-link
 //! reproducibility including net counters, hostile-link reconnects with
-//! zero lost corpus/crash state, distributed kill/resume, and a durable
-//! hub whose store does not depend on the workers' pool size.
+//! zero lost corpus/crash state, scripted link cuts inside a round's
+//! request window (only unanswered requests are resent), a worker that
+//! refuses a hub with another description table, distributed
+//! kill/resume, and a durable hub whose store does not depend on the
+//! workers' pool size.
 
 use droidfuzz_repro::droidfuzz::config::FuzzerConfig;
 use droidfuzz_repro::droidfuzz::crashes::CrashRecord;
@@ -11,15 +14,18 @@ use droidfuzz_repro::droidfuzz::fleet::{
     Fleet, FleetConfig, FleetSnapshot, FleetStore, DEFAULT_KEEP, SNAPSHOT_HEADER,
 };
 use droidfuzz_repro::droidfuzz::net::{
-    decode_frame, decode_message, encode_frame, encode_message, CampaignSpec, HubResult,
-    HubServer, LoopbackConnector, Message, NetCounters, NetError, ServeConfig, WireShardStats,
-    WireUpdate, WorkerConfig, WorkerResult, WorkerRuntime,
+    decode_frame, decode_message, encode_frame, encode_message, CampaignSpec, Channel,
+    Connector, FrameSink, FrameSource, HubResult, HubServer, Listener, LoopbackConnector,
+    Message, NetCounters, NetError, ServeConfig, Transport, WireShardStats, WireUpdate,
+    WorkerConfig, WorkerResult, WorkerRuntime, PROTOCOL_VERSION,
 };
+use droidfuzz_repro::droidfuzz::relation::WireGraph;
 use droidfuzz_repro::droidfuzz::store::{SimMedium, StorageMedium};
 use droidfuzz_repro::simdevice::catalog;
 use droidfuzz_repro::simdevice::faults::{FaultProfile, LinkFaultRates};
 use droidfuzz_repro::simkernel::report::{BugKind, Component};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// Same campaign shape as `tests/fleet.rs` — 3 sync rounds of 0.05
@@ -121,7 +127,7 @@ fn every_message_variant_round_trips_through_the_codec() {
         shard: 2,
         corpus_delta: "# seed 1\nopen dev=\"npu\"\n\nclose fd=3\n".into(),
         new_blocks: vec![1, 99, 1 << 40],
-        relations_text: Some("edge open ioctl 0.5\n".into()),
+        relations: Some(WireGraph { learn_events: 3, edges: vec![(0, 1, 0.5f64.to_bits())] }),
         crashes: vec![crash],
     };
     let stats = WireShardStats {
@@ -151,6 +157,7 @@ fn every_message_variant_round_trips_through_the_codec() {
         flap_limit: 2,
         start_round: 1,
         clock_us: 180_000_000,
+        table_digest: 0xfeed,
     };
     let net = NetCounters { frames_sent: 12, reconnects: 1, ..Default::default() };
     let messages = vec![
@@ -166,7 +173,7 @@ fn every_message_variant_round_trips_through_the_codec() {
             corpus_text: "# seed 2\nmmap len=4096\n".into(),
             cursor: 12,
             delivered: 3,
-            relations_text: None,
+            relations: None,
         },
         Message::RoundDone { round: 2, stats: vec![stats], net },
         Message::RoundAck { round: 2, continue_campaign: false },
@@ -218,8 +225,8 @@ proptest! {
     }
 
     /// Wire updates with arbitrary printable-plus-newline corpus text,
-    /// coverage blocks, and optional relations survive a message-level
-    /// round trip.
+    /// coverage blocks, and optional relation triples (any ids, any
+    /// weight bits) survive a message-level round trip.
     #[test]
     fn wire_updates_round_trip(
         shard in 0usize..8,
@@ -228,19 +235,20 @@ proptest! {
         blocks in prop::collection::vec(any::<u64>(), 0..16),
         round in 0usize..64,
         with_relations in any::<bool>(),
+        learn_events in any::<u64>(),
+        edges in prop::collection::vec((any::<usize>(), any::<usize>(), any::<u64>()), 0..8),
     ) {
         let mut corpus_delta = head;
         for line in &lines {
             corpus_delta.push('\n');
             corpus_delta.push_str(line);
         }
-        let relations_text =
-            with_relations.then(|| format!("graph v1\n{}\n", corpus_delta.clone()));
+        let relations = with_relations.then_some(WireGraph { learn_events, edges });
         let update = WireUpdate {
             shard,
             corpus_delta,
             new_blocks: blocks,
-            relations_text,
+            relations,
             crashes: Vec::new(),
         };
         let msg = Message::PushUpdate { round, update };
@@ -449,8 +457,18 @@ fn run_durable_split(threads: usize) -> (HubResult, Vec<(String, Vec<u8>)>) {
     let medium = SimMedium::new();
     let mut store = FleetStore::create(medium.clone(), DEFAULT_KEEP).expect("fresh medium");
     let (connector, listener) = LoopbackConnector::with_rates(reliable(), 13);
-    let conns: Vec<_> =
-        (0..2u64).map(|i| connector.sibling_with_rates(reliable(), 13 + 1000 * (i + 1))).collect();
+    // The hub hands out shard ranges in `Hello` order; the second worker
+    // dials once the first holds its range, so every run splits alike
+    // (the net counters, and so the checkpoints, depend on the split).
+    let (claimed, first_claimed) = std::sync::mpsc::channel();
+    let conns = [
+        InOrder { inner: connector.sibling_with_rates(reliable(), 1013), after: None, then: Some(claimed) },
+        InOrder {
+            inner: connector.sibling_with_rates(reliable(), 2013),
+            after: Some(first_claimed),
+            then: None,
+        },
+    ];
     drop(connector);
     let fleet = FleetConfig { hours: 0.25, checkpoint_interval_rounds: 2, ..quick_fleet(4, None) };
     let server = HubServer::new(serve_config(fleet));
@@ -466,8 +484,10 @@ fn run_durable_split(threads: usize) -> (HubResult, Vec<(String, Vec<u8>)>) {
                 scope.spawn(move || WorkerRuntime::new(cfg).run(Box::new(conn)))
             })
             .collect();
-        for worker in workers {
-            assert!(worker.join().expect("worker thread").expect("worker completes").finished);
+        for (base, worker) in [0, 3].into_iter().zip(workers) {
+            let worker = worker.join().expect("worker thread").expect("worker completes");
+            assert!(worker.finished);
+            assert_eq!(worker.base_shard, base, "shard ranges are claimed in spawn order");
         }
         hub.join().expect("hub thread").expect("hub completes")
     });
@@ -481,6 +501,64 @@ fn run_durable_split(threads: usize) -> (HubResult, Vec<(String, Vec<u8>)>) {
         })
         .collect();
     (hub, files)
+}
+
+/// A loopback dialer that dials only once `after` fires (when set) and
+/// fires `then` when its first frame, the `HelloAck`, arrives.
+struct InOrder {
+    inner: LoopbackConnector,
+    after: Option<std::sync::mpsc::Receiver<()>>,
+    then: Option<std::sync::mpsc::Sender<()>>,
+}
+
+impl Connector for InOrder {
+    fn connect(&mut self) -> Result<Box<dyn Transport>, NetError> {
+        if let Some(after) = self.after.take() {
+            let _ = after.recv();
+        }
+        let (sink, source) = self.inner.connect()?.split();
+        let source = SignalSource { inner: source, then: self.then.take() };
+        Ok(Box::new(Signalling { sink, source }))
+    }
+}
+
+/// A receive half that fires `then` on its first frame.
+struct SignalSource {
+    inner: Box<dyn FrameSource>,
+    then: Option<std::sync::mpsc::Sender<()>>,
+}
+
+impl FrameSource for SignalSource {
+    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        let frame = self.inner.recv_frame()?;
+        if let Some(then) = self.then.take() {
+            let _ = then.send(());
+        }
+        Ok(frame)
+    }
+}
+
+struct Signalling {
+    sink: Box<dyn FrameSink>,
+    source: SignalSource,
+}
+
+impl FrameSink for Signalling {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        self.sink.send_frame(frame)
+    }
+}
+
+impl FrameSource for Signalling {
+    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        self.source.recv_frame()
+    }
+}
+
+impl Transport for Signalling {
+    fn split(self: Box<Self>) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
+        (self.sink, Box::new(self.source))
+    }
 }
 
 /// The workers' pool size is invisible on the wire and on disk: a
@@ -500,4 +578,225 @@ fn durable_hub_store_is_worker_pool_size_invariant() {
     );
     assert_eq!(sequential.snapshot, pooled.snapshot, "full snapshot incl. net section");
     assert_eq!(sequential_files, pooled_files, "every medium file byte for byte");
+}
+
+// ---------------------------------------------------------------------
+// Link cuts inside a request window
+// ---------------------------------------------------------------------
+
+/// Where a scripted cut lands on a worker's first connection.
+#[derive(Debug, Clone, Copy)]
+enum Cut {
+    /// Once the hub has acknowledged the second push of `round`'s
+    /// window, the link drops and both acks are lost with it.
+    AfterSecondPush { round: usize },
+    /// The second pull answer at `barrier` is lost with the link.
+    SecondPullAnswer { barrier: usize },
+}
+
+fn message_of(frame: &[u8]) -> Message {
+    let (_, payload, _) = decode_frame(frame).expect("loopback frames are whole");
+    decode_message(std::str::from_utf8(&payload).expect("utf-8")).expect("valid message")
+}
+
+/// One scripted connection: the loopback halves until the cut.
+struct ScriptedLink {
+    sink: Option<Box<dyn FrameSink>>,
+    source: Option<Box<dyn FrameSource>>,
+    cut: Option<Cut>,
+    seen: usize,
+}
+
+impl ScriptedLink {
+    fn drop_link(&mut self) {
+        (self.sink, self.source) = (None, None);
+    }
+}
+
+/// Both halves of a scripted connection share one link; every message
+/// the worker got onto the wire is logged with its connection index.
+#[derive(Clone)]
+struct ScriptedTransport {
+    link: Arc<Mutex<ScriptedLink>>,
+    conn: usize,
+    sent: Arc<Mutex<Vec<(usize, Message)>>>,
+}
+
+impl FrameSink for ScriptedTransport {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        let mut link = self.link.lock().unwrap();
+        link.sink.as_mut().ok_or(NetError::Closed)?.send_frame(frame)?;
+        let msg = message_of(frame);
+        self.sent.lock().unwrap().push((self.conn, msg.clone()));
+        if let (Some(Cut::AfterSecondPush { round }), Message::PushUpdate { round: r, .. }) =
+            (link.cut, &msg)
+        {
+            if *r == round {
+                link.seen += 1;
+                if link.seen == 2 {
+                    // Let the hub take and acknowledge both pushes, then
+                    // drop the link with the acks unread.
+                    let source = link.source.as_mut().expect("live link");
+                    let mut acks = 0;
+                    while acks < 2 {
+                        acks += usize::from(matches!(
+                            message_of(&source.recv_frame()?),
+                            Message::PushAck { .. }
+                        ));
+                    }
+                    link.drop_link();
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl FrameSource for ScriptedTransport {
+    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        let mut link = self.link.lock().unwrap();
+        let frame = link.source.as_mut().ok_or(NetError::Closed)?.recv_frame()?;
+        if let Some(Cut::SecondPullAnswer { barrier }) = link.cut {
+            if matches!(message_of(&frame), Message::PullResponse { barrier: b, .. } if b == barrier)
+            {
+                link.seen += 1;
+                if link.seen == 2 {
+                    link.drop_link();
+                    return Err(NetError::Closed);
+                }
+            }
+        }
+        Ok(frame)
+    }
+}
+
+impl Transport for ScriptedTransport {
+    fn split(self: Box<Self>) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
+        (Box::new((*self).clone()), self)
+    }
+}
+
+/// A reliable loopback dialer whose first connection is cut as scripted.
+struct ScriptedConnector {
+    inner: LoopbackConnector,
+    cut: Cut,
+    connections: usize,
+    sent: Arc<Mutex<Vec<(usize, Message)>>>,
+}
+
+impl Connector for ScriptedConnector {
+    fn connect(&mut self) -> Result<Box<dyn Transport>, NetError> {
+        let conn = self.connections;
+        self.connections += 1;
+        let (sink, source) = self.inner.connect()?.split();
+        let cut = (conn == 0).then_some(self.cut);
+        let link = ScriptedLink { sink: Some(sink), source: Some(source), cut, seen: 0 };
+        let link = Arc::new(Mutex::new(link));
+        Ok(Box::new(ScriptedTransport { link, conn, sent: Arc::clone(&self.sent) }))
+    }
+}
+
+/// One worker running all three shards on `threads` pool threads over a
+/// link cut as `cut`; returns the hub result and every message the
+/// worker sent, with its connection index.
+fn run_with_cut(cut: Cut, threads: usize) -> (HubResult, Vec<(usize, Message)>) {
+    let (inner, listener) = LoopbackConnector::with_rates(reliable(), 17);
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let connector = ScriptedConnector { inner, cut, connections: 0, sent: Arc::clone(&sent) };
+    let server = HubServer::new(serve_config(quick_fleet(3, None)));
+    let hub = thread::scope(|scope| {
+        let hub = scope.spawn(|| server.serve(listener, None, None));
+        let cfg = WorkerConfig { shards: 3, threads, name: "cut".into(), max_link_retries: 5 };
+        let worker = WorkerRuntime::new(cfg).run(Box::new(connector)).expect("worker completes");
+        assert!(worker.finished);
+        hub.join().expect("hub thread").expect("hub completes")
+    });
+    let sent = sent.lock().unwrap().clone();
+    (hub, sent)
+}
+
+/// Round 1's pushes and pulls (barrier 2) the worker sent on its second
+/// connection: what the reconnect resent.
+fn resent_window(sent: &[(usize, Message)]) -> (Vec<usize>, Vec<usize>) {
+    let on_second = sent.iter().filter(|(conn, _)| *conn == 1).map(|(_, msg)| msg);
+    let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
+    for msg in on_second {
+        match msg {
+            Message::PushUpdate { round: 1, update } => pushes.push(update.shard),
+            Message::PullRequest { barrier: 2, shard, .. } => pulls.push(*shard),
+            _ => {}
+        }
+    }
+    (pushes, pulls)
+}
+
+/// A link dropped inside a round's window — after the hub took two of
+/// the three pushes, or with a pull answer lost in flight — costs one
+/// reconnect and a resend of exactly the requests left unanswered. The
+/// hub ends in the local fleet's state at either worker pool size, and
+/// its `dup_frames` counts only the pushes it had already taken.
+#[test]
+fn a_link_cut_inside_a_window_resends_only_unanswered_requests() {
+    let spec = catalog::device_a1();
+    let local = Fleet::new(quick_fleet(3, None)).run(&spec, FuzzerConfig::droidfuzz);
+    for threads in [1, 0] {
+        // Cut after the second push: the worker read no answer of the
+        // window, so every request goes again; the hub had buffered the
+        // first two pushes and acknowledges them as duplicates.
+        let (hub, sent) = run_with_cut(Cut::AfterSecondPush { round: 1 }, threads);
+        assert_eq!(strip_net(&hub.snapshot), strip_net(&local.snapshot), "threads={threads}");
+        assert_eq!(hub.net_totals.reconnects, 1, "threads={threads}");
+        assert_eq!(resent_window(&sent), (vec![0, 1, 2], vec![0, 1, 2]), "threads={threads}");
+        assert_eq!(hub.net_totals.dup_frames, 2, "threads={threads}: two pushes replayed");
+
+        // Lose the second pull answer: every push and the first pull
+        // were answered, so only the pulls of shards 1 and 2 go again.
+        let (hub, sent) = run_with_cut(Cut::SecondPullAnswer { barrier: 2 }, threads);
+        assert_eq!(strip_net(&hub.snapshot), strip_net(&local.snapshot), "threads={threads}");
+        assert_eq!(hub.net_totals.reconnects, 1, "threads={threads}");
+        assert_eq!(resent_window(&sent), (vec![], vec![1, 2]), "threads={threads}");
+        assert_eq!(hub.net_totals.dup_frames, 0, "threads={threads}: nothing replayed");
+    }
+}
+
+/// Relation graphs travel as description ids, so a worker whose table
+/// differs from the hub's (by the `HelloAck` digest) refuses the session
+/// with a protocol error and says why in a `Bye`.
+#[test]
+fn worker_refuses_a_hub_with_another_description_table() {
+    let (connector, mut listener) = LoopbackConnector::with_rates(reliable(), 3);
+    let hub = thread::spawn(move || {
+        let transport = loop {
+            if let Some(transport) = listener.accept().expect("listener") {
+                break transport;
+            }
+        };
+        let mut ch = Channel::new(transport);
+        assert!(matches!(ch.recv(), Ok(Message::Hello { .. })));
+        let campaign = CampaignSpec {
+            device: "A1".into(),
+            variant: "droidfuzz".into(),
+            seed: 0,
+            hours: 0.05,
+            sync_interval_hours: 0.05,
+            sync: true,
+            shards: 1,
+            hub_capacity: 256,
+            flap_limit: 2,
+            start_round: 0,
+            clock_us: 0,
+            table_digest: 0xbad,
+        };
+        ch.send(&Message::HelloAck { version: PROTOCOL_VERSION, base_shard: 0, campaign })
+            .expect("send hello-ack");
+        ch.recv()
+    });
+    let cfg = WorkerConfig { shards: 1, threads: 1, name: "w".into(), max_link_retries: 1 };
+    let refused = WorkerRuntime::new(cfg).run(Box::new(connector));
+    assert!(
+        matches!(&refused, Err(NetError::Protocol(why)) if why.contains("digest")),
+        "{:?}",
+        refused.map(|r| r.rounds_completed)
+    );
+    assert!(matches!(hub.join().expect("hub thread"), Ok(Message::Bye { .. })));
 }
