@@ -568,53 +568,9 @@ mod tests {
         assert!(group_medium.ops() < record_medium.ops());
     }
 
-    /// A [`SimMedium`] that counts appends and syncs.
-    #[derive(Debug, Clone, Default)]
-    struct CountingMedium {
-        inner: SimMedium,
-        appends: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        syncs: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    }
-
-    impl CountingMedium {
-        fn counts(&self) -> (u64, u64) {
-            use std::sync::atomic::Ordering::SeqCst;
-            (self.appends.load(SeqCst), self.syncs.load(SeqCst))
-        }
-    }
-
-    impl StorageMedium for CountingMedium {
-        fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-            self.inner.read(name)
-        }
-        fn write(&mut self, name: &str, data: &[u8]) -> Result<(), StoreError> {
-            self.inner.write(name, data)
-        }
-        fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StoreError> {
-            self.appends.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.inner.append(name, data)
-        }
-        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
-            self.syncs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.inner.sync(name)
-        }
-        fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
-            self.inner.rename(from, to)
-        }
-        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
-            self.inner.remove(name)
-        }
-        fn list(&self) -> Result<Vec<String>, StoreError> {
-            self.inner.list()
-        }
-        fn exists(&self, name: &str) -> bool {
-            self.inner.exists(name)
-        }
-    }
-
     #[test]
     fn a_round_reaches_the_medium_as_one_append_and_one_sync() {
-        let medium = CountingMedium::default();
+        let medium = SimMedium::new();
         let mut store = FleetStore::create(medium.clone(), 2).unwrap();
         let t = table();
         let mut hub = CorpusHub::new(64);
@@ -624,12 +580,13 @@ mod tests {
         for round in 1..=3u64 {
             hub.publish_coverage([simkernel::coverage::Block(round)]);
             hub.record_sample(round * 1_000);
-            let before = medium.counts();
-            let records = store.counters().journal_records;
+            let before = medium.ops();
+            let (records, bytes) =
+                (store.counters().journal_records, store.counters().journal_bytes);
             store.on_round(&hub, &t, round as usize, round * 1_000, &faults, &lint, &net);
-            let after = medium.counts();
-            assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1), "round {round}");
+            assert_eq!(medium.ops() - before, 2, "one append and one sync, round {round}");
             assert!(store.counters().journal_records >= records + 4, "round {round}");
+            assert!(store.counters().journal_bytes > bytes, "round {round}");
         }
     }
 

@@ -362,7 +362,11 @@ fn relations_line(out: &mut String, graph: Option<&WireGraph>) {
     out.push('\n');
 }
 
-/// Appends `value` in lowercase hex without leading zeros (`{:x}`).
+/// Appends `value` in lowercase hex without leading zeros, as `{:x}`
+/// writes it. A graph's triples are most of a pull answer: written with
+/// `write!(out, " {from:x},{to:x},{bits:x}")` the 1,702-edge
+/// `sync_hot_paths` graph encodes in about 230 µs, with this in about
+/// 125 µs (2 vCPUs).
 fn push_hex(out: &mut String, value: u64) {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let nibbles = ((64 - value.leading_zeros() as usize).div_ceil(4)).max(1);
@@ -371,7 +375,8 @@ fn push_hex(out: &mut String, value: u64) {
     }
 }
 
-/// Parses 1 to 16 hex digits (either case, nothing else).
+/// Parses 1 to 16 hex digits (either case, nothing else) — the one hex
+/// rule for every hex field of a message.
 fn parse_hex(digits: &str) -> Option<u64> {
     if digits.is_empty() || digits.len() > 16 {
         return None;
@@ -632,7 +637,7 @@ impl<'a> Lines<'a> {
     fn hex(&self, key: &str) -> Result<u64, NetError> {
         self.fields
             .get(key)
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
+            .and_then(|v| parse_hex(v))
             .ok_or_else(|| NetError::Garbage(format!("missing/bad hex field {key}")))
     }
 }
@@ -683,7 +688,7 @@ pub fn decode_message(text: &str) -> Result<Message, NetError> {
                 if token.is_empty() {
                     continue;
                 }
-                blocks.push(u64::from_str_radix(token, 16).map_err(|_| {
+                blocks.push(parse_hex(token).ok_or_else(|| {
                     NetError::Garbage(format!("bad block id {token:?}"))
                 })?);
             }

@@ -58,9 +58,12 @@ use droidfuzz_analysis::LintCounters;
 /// campaign stuck (no workers, all workers dead and not reconnecting).
 const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Bounded per-session outbound queue, in frames. A worker that stops
-/// draining its socket hits this bound and is disconnected
-/// (backpressure as session death — it can reconnect and resume).
+/// Bounded per-session outbound queue, in frames, at least. A worker that
+/// stops draining its socket hits this bound and is disconnected
+/// (backpressure as session death — it can reconnect and resume). A
+/// session's queue also holds a whole request window's answers — a push
+/// ack and a pull answer per shard, which a round releases at once — so
+/// it is sized up to `2 * shards + 2` for campaigns with many shards.
 const SESSION_QUEUE: usize = 64;
 
 /// What the hub serves: a fleet campaign (the same knobs as the local
@@ -333,7 +336,8 @@ impl HubCore<'_, '_> {
     fn on_connected(&mut self, transport: Box<dyn Transport>) {
         let id = self.sessions.len();
         let (sink, source) = transport.split();
-        let (out_tx, out_rx) = mpsc::sync_channel::<Vec<u8>>(SESSION_QUEUE);
+        let queue = SESSION_QUEUE.max(2 * self.campaign.shards + 2);
+        let (out_tx, out_rx) = mpsc::sync_channel::<Vec<u8>>(queue);
         thread::spawn(move || {
             let mut sink = sink;
             while let Ok(frame) = out_rx.recv() {

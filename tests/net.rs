@@ -800,3 +800,71 @@ fn worker_refuses_a_hub_with_another_description_table() {
     );
     assert!(matches!(hub.join().expect("hub thread"), Ok(Message::Bye { .. })));
 }
+
+/// A hub listener whose sessions drain their outbound frames slowly
+/// (one frame per millisecond), so the hub's per-session queue fills.
+struct SlowDrain<L>(L);
+
+impl<L: Listener> Listener for SlowDrain<L> {
+    fn accept(&mut self) -> Result<Option<Box<dyn Transport>>, NetError> {
+        Ok(self.0.accept()?.map(|t| {
+            let (sink, source) = t.split();
+            Box::new(SlowTransport { sink: SlowSink(sink), source }) as Box<dyn Transport>
+        }))
+    }
+}
+
+struct SlowSink(Box<dyn FrameSink>);
+
+impl FrameSink for SlowSink {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        thread::sleep(std::time::Duration::from_millis(1));
+        self.0.send_frame(frame)
+    }
+}
+
+struct SlowTransport {
+    sink: SlowSink,
+    source: Box<dyn FrameSource>,
+}
+
+impl FrameSink for SlowTransport {
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        self.sink.send_frame(frame)
+    }
+}
+
+impl FrameSource for SlowTransport {
+    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        self.source.recv_frame()
+    }
+}
+
+impl Transport for SlowTransport {
+    fn split(self: Box<Self>) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
+        (Box::new(self.sink), self.source)
+    }
+}
+
+/// One worker holding more shards than 64 frames: each round's window
+/// leaves a push ack and a pull answer per shard queued at the hub at
+/// once, behind a slow socket. The session must hold all of them — an
+/// overflow would drop it, and the resent window would overflow again.
+#[test]
+fn a_worker_with_many_shards_keeps_its_session_behind_a_slow_socket() {
+    let fleet = FleetConfig {
+        hours: 0.02,
+        sync_interval_hours: 0.01,
+        ..quick_fleet(72, None)
+    };
+    let (connector, listener) = LoopbackConnector::with_rates(reliable(), 5);
+    let cfg = serve_config(fleet);
+    let hub = thread::spawn(move || HubServer::new(cfg).serve(SlowDrain(listener), None, None));
+    let cfg = WorkerConfig { shards: 72, threads: 0, name: "w".into(), max_link_retries: 2 };
+    let worker = WorkerRuntime::new(cfg).run(Box::new(connector)).expect("worker completes");
+    let hub = hub.join().expect("hub thread").expect("hub completes");
+    assert!(hub.finished && worker.finished);
+    assert_eq!(hub.rounds_completed, 2);
+    assert_eq!(hub.net_totals.sessions, 1);
+    assert_eq!(hub.net_totals.reconnects, 0, "the session must not overflow its queue");
+}

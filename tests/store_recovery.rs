@@ -320,39 +320,52 @@ fn parallel_kill_resume_matches_sequential_durable_run() {
     );
 }
 
-/// The same zero-loss property under an actively hostile medium: torn
-/// journal appends and bit-flipped snapshot writes degrade the store
-/// (io-error counters, generation fallback) but never kill the campaign
-/// or corrupt the resumed state.
+/// The same zero-loss property under an actively hostile medium: a torn
+/// journal append and a bit-flipped snapshot write degrade the store
+/// (torn-tail drop, generation fallback) but never kill the campaign or
+/// corrupt the resumed state.
 #[test]
 fn hostile_medium_degrades_but_never_corrupts() {
     use droidfuzz_repro::droidfuzz::store::MediumFault;
     let spec = catalog::device_e();
+    // The fault-free run's mutating ops, one checkpoint per round:
+    //   0-1   write + sync journal-0 (header)
+    //   2-3   round 1: one batch append + one sync of its records
+    //   4-6   snapshot-1: tmp write, sync, rename
+    //   7-9   journal-1: write + sync header, remove journal-0
+    //   10-11 round 2: batch append + sync into journal-1
+    //   12-14 snapshot-2: tmp write, sync, rename
+    // So op 10 tears round 2's batch and op 12 corrupts snapshot-2:
+    // recovery must fall back to snapshot-1 and drop the torn batch.
     let medium = SimMedium::with_plan(vec![
-        MediumFault::TornWrite { op: 40, keep: 11 },
-        MediumFault::BitFlip { op: 90, offset: 5, mask: 0x10 },
+        MediumFault::TornWrite { op: 10, keep: 11 },
+        MediumFault::BitFlip { op: 12, offset: 5, mask: 0x10 },
         MediumFault::NoSpace { after_bytes: 400_000 },
     ]);
     let killed = Fleet::new(fleet_config(Some(2)))
         .run_durable(&spec, FuzzerConfig::droidfuzz, medium.clone())
         .unwrap();
     assert_eq!(killed.rounds_completed, 2, "campaign must survive storage faults");
+    let fired = medium.faults_fired();
+    assert_eq!(fired.len(), 2, "both scripted faults must land: {fired:?}");
+    assert!(fired[0].starts_with("TornWrite { op: 10"), "{fired:?}");
+    assert!(fired[1].starts_with("BitFlip { op: 12"), "{fired:?}");
 
     let engine = FuzzingEngine::new(spec.clone().boot(), FuzzerConfig::droidfuzz(0));
-    match RecoveryManager::new(medium.clone()).recover_verified(engine.desc_table()) {
-        Ok(recovered) => {
-            // Whatever survived must replay into an audit-clean state —
-            // recover_verified already gates on the analysis auditors.
-            assert_ne!(recovered.report.outcome, RecoveryOutcome::Unrecoverable);
-            let (resumed, _) = Fleet::new(fleet_config(None))
-                .resume_durable(&spec, FuzzerConfig::droidfuzz, medium)
-                .unwrap();
-            assert_eq!(resumed.rounds_completed, 3);
-        }
-        Err(StoreError::NotFound(_)) | Err(StoreError::Unrecoverable(_)) => {
-            // Acceptable only if the faults destroyed every generation;
-            // the campaign itself still ran to its kill point above.
-        }
-        Err(e) => panic!("unexpected recovery error: {e}"),
-    }
+    // Whatever survived must replay into an audit-clean state —
+    // recover_verified already gates on the analysis auditors.
+    let recovered = RecoveryManager::new(medium.clone())
+        .recover_verified(engine.desc_table())
+        .expect("snapshot-1 survives the faults");
+    assert_eq!(
+        recovered.report.outcome,
+        RecoveryOutcome::CorruptSnapshot { fell_back_generations: 1 },
+        "the flipped snapshot-2 must be skipped"
+    );
+    assert_eq!(recovered.report.base_generation, Some(1));
+    assert_eq!(recovered.report.dropped_bytes, 11, "the torn batch must be dropped");
+    let (resumed, _) = Fleet::new(fleet_config(None))
+        .resume_durable(&spec, FuzzerConfig::droidfuzz, medium)
+        .unwrap();
+    assert_eq!(resumed.rounds_completed, 3);
 }
